@@ -55,6 +55,7 @@ from termsep.synth import (
     synth_cover,
     find_cycle,
     synth_cycle,
+    antiassociative_certificates,
     build_k_antiassociative,
     search_separator,
     decide_finite_separability,
@@ -65,6 +66,6 @@ from termsep.verify import (
     cross_check,
     lemma_harness,
 )
-from termsep.census import CensusReport, census
+from termsep.census import CensusReport
 
 __all__ = [name for name in dir() if not name.startswith("_")]

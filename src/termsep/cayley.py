@@ -16,7 +16,10 @@ import numpy as np
 from termsep.terms import Mul, Term, Var, var_key, variables
 
 DEFAULT_EVAL_BUDGET = 2**26
-_CHUNK = 2**20
+# assignments evaluated at once: int64 arrays of 64 KiB stay in one core's
+# own cache and below the size malloc maps fresh from the kernel, so the
+# check's time follows the core's speed, not page faults or a shared cache
+_CHUNK = 2**13
 
 
 class BudgetExceededError(RuntimeError):

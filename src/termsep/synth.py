@@ -35,6 +35,7 @@ from termsep.vecops import (
 )
 
 DEFAULT_SEARCH_BUDGET = 20000
+MAX_ANTIASSOC_PAIRS = 5000  # k=7 has 8,646 pairs
 
 
 def _flip(side: str) -> str:
@@ -313,25 +314,32 @@ def cover_witness_from_disagreement(s: Term, t: Term) -> CoverWitness:
     return CoverWitness(name, "t", path_t, "s", path_s)
 
 
-def build_k_antiassociative(k: int, max_pairs: int = 5000):
-    """Direct sum of per-pair cover groupoids over all ordered-term pairs.
+def antiassociative_certificates(k: int) -> list[tuple[tuple[Term, Term], Certificate]]:
+    """One cover certificate per pair of distinct ordered k-ary terms.
 
-    Returns (groupoid, certificates) where each certificate records the
-    pair it separates.
+    The certificates' groupoids are the factors of a k-antiassociative
+    groupoid.  Raises ValueError for k < 3 or more than
+    MAX_ANTIASSOC_PAIRS pairs.
     """
     if k < 3:
         raise ValueError("k must be at least 3")
     terms = enumerate_ordered_terms(k)
     pairs = list(itertools.combinations(terms, 2))
-    if len(pairs) > max_pairs:
-        raise ValueError(f"{len(pairs)} pairs exceed budget {max_pairs}")
-    certificates = []
-    total: Optional[VecGroupoid] = None
-    for s, t in pairs:
-        cert = synth_cover(cover_witness_from_disagreement(s, t))
-        certificates.append(((s, t), cert))
-        total = cert.groupoid if total is None else direct_sum(total, cert.groupoid)
-    return total, certificates
+    if len(pairs) > MAX_ANTIASSOC_PAIRS:
+        raise ValueError(f"{len(pairs)} pairs exceed budget {MAX_ANTIASSOC_PAIRS}")
+    return [
+        ((s, t), synth_cover(cover_witness_from_disagreement(s, t))) for s, t in pairs
+    ]
+
+
+def build_k_antiassociative(k: int):
+    """Direct sum of per-pair cover groupoids over all ordered-term pairs.
+
+    Returns (groupoid, certificates) where each certificate records the
+    pair it separates.
+    """
+    certificates = antiassociative_certificates(k)
+    return direct_sum(*(cert.groupoid for _, cert in certificates)), certificates
 
 
 def _candidate_paths(s: Term, t: Term) -> list[str]:

@@ -291,21 +291,28 @@ def term_affine_form(G: VecGroupoid, t: Term) -> AffineTermForm:
     return AffineTermForm(names, full, const)
 
 
-def direct_sum(G1: VecGroupoid, G2: VecGroupoid) -> VecGroupoid:
-    """Product groupoid as a block-diagonal operation; G2 gets renamed."""
-    shift = (max(G1.indices) + 1 if G1.indices else 0) - (
-        min(G2.indices) if G2.indices else 0
-    )
-    indices = G1.indices + tuple(i + shift for i in G2.indices)
-    m1, m2 = G1.width, G2.width
-    A = np.zeros((m1 + m2, m1 + m2), dtype=np.uint8)
+def direct_sum(*factors: VecGroupoid) -> VecGroupoid:
+    """Product groupoid as a block-diagonal operation.
+
+    The first factor keeps its register names; each later factor is
+    renamed to start just above the registers before it.
+    """
+    indices = list(factors[0].indices) if factors else []
+    for G in factors[1:]:
+        base = indices[-1] + 1 if indices else 0
+        indices.extend(base + r - G.indices[0] for r in G.indices)
+    m = len(indices)
+    A = np.zeros((m, m), dtype=np.uint8)
     B = np.zeros_like(A)
-    A[:m1, :m1] = G1.A
-    A[m1:, m1:] = G2.A
-    B[:m1, :m1] = G1.B
-    B[m1:, m1:] = G2.B
-    c = np.concatenate([G1.c, G2.c])
-    return VecGroupoid(indices, A, B, c)
+    c = np.zeros(m, dtype=np.uint8)
+    lo = 0
+    for G in factors:
+        hi = lo + G.width
+        A[lo:hi, lo:hi] = G.A
+        B[lo:hi, lo:hi] = G.B
+        c[lo:hi] = G.c
+        lo = hi
+    return VecGroupoid(tuple(indices), A, B, c)
 
 
 def vec_to_int(G: VecGroupoid, vec: np.ndarray) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from termsep import gf2
 from termsep.cayley import separates_exhaustive
-from termsep.terms import Mul, Term, Var, subterm_at, var_key, variables
+from termsep.terms import Mul, Term, Var, render_term, subterm_at, var_key, variables
 from termsep.vecops import (
     OpSum,
     RegisterAllocator,
@@ -219,11 +219,6 @@ def lemma_harness(trials: int = 1000, seed: int = 0) -> LemmaReport:
             else:
                 plain += 1
         else:
-            failures.append(f"trial {trial}: {opsum.render()} on {render(term)}")
+            failures.append(f"trial {trial}: {opsum.render()} on {render_term(term)}")
     return LemmaReport(trials, plain, tweaked, tuple(failures))
 
-
-def render(t: Term) -> str:
-    from termsep.terms import render_term
-
-    return render_term(t)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from termsep import cayley
 from termsep.cayley import (
     BudgetExceededError,
     CayleyGroupoid,
@@ -15,7 +16,7 @@ from termsep.cayley import (
     restrict,
     separates_exhaustive,
 )
-from termsep.terms import enumerate_ordered_terms, parse_term
+from termsep.terms import enumerate_ordered_terms, parse_term, var_key, variables
 
 Z2_LEFT = deranged_groupoid(2, [1, 0], "LEFT")       # x*y = (x+1) mod 2
 Z3_RIGHT = deranged_groupoid(3, [1, 2, 0], "RIGHT")  # x*y = (y+1) mod 3
@@ -128,6 +129,29 @@ class TestSeparatesExhaustive:
                 found = candidate
                 break
         assert found == env
+
+    @pytest.mark.parametrize("chunk", [1, 5, 2**13])
+    def test_chunks_agree_with_plain_enumeration(self, monkeypatch, chunk):
+        # chunks of a few assignments put most first hits past the first chunk
+        monkeypatch.setattr(cayley, "_CHUNK", chunk)
+        rng = random.Random(chunk)
+        universe = enumerate_ordered_terms(4) + enumerate_ordered_terms(5)
+        for _ in range(40):
+            n = rng.randint(2, 4)
+            G = CayleyGroupoid(
+                tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+            )
+            s, t = rng.sample(universe, 2)
+            names = sorted(set(variables(s)) | set(variables(t)), key=var_key)
+            first = None
+            for vals in itertools.product(range(n), repeat=len(names)):
+                env = dict(zip(names, vals))
+                if eval_cayley(G, s, env) == eval_cayley(G, t, env):
+                    first = env
+                    break
+            verdict = separates_exhaustive(G, s, t)
+            assert verdict.separated == (first is None)
+            assert verdict.counterexample == first
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):

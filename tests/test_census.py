@@ -1,4 +1,5 @@
 import itertools
+import types
 
 import pytest
 
@@ -75,3 +76,10 @@ class TestFullCensus:
         report = census(4, workers=4, long_run=True)
         assert report.antiassociative_count == 421560
         assert report.total_tables == 4**16
+
+
+def test_package_keeps_the_census_module():
+    import termsep.census as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module.census_pruned(2) == 2

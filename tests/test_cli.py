@@ -75,6 +75,15 @@ class TestSeparate:
         assert doc["affine_separated"] is True
         assert doc["cayley_csv"].splitlines()[0] == "4"
 
+    def test_emit_table_null_above_table_bound(self, runner):
+        deep = "x*u"
+        for _ in range(17):
+            deep = f"({deep})*u"  # x sits 18 steps down the left spine
+        doc = run_json(runner, "separate", "x*y", deep, "--emit-table")
+        assert doc["construction"] == "cover"
+        assert len(doc["groupoid"]["indices"]) == 18
+        assert doc["cayley_csv"] is None
+
     def test_budget_flag(self, runner):
         doc = run_json(
             runner,
@@ -91,13 +100,26 @@ class TestAntiassoc:
     def test_build_k3(self, runner):
         doc = run_json(runner, "antiassoc", "build", "-k", "3")
         assert doc["factors"] == 1
-        assert doc["groupoid"]["indices"] == [0, 1]
+        assert doc["width"] == 2
 
     def test_verify_k4(self, runner):
         doc = run_json(runner, "antiassoc", "verify", "-k", "4")
         assert doc["factors"] == 10
         assert doc["all_ok"] is True
         assert all(e["affine_ok"] for e in doc["certificates"])
+
+    def test_verify_k5_lists_factors_only(self, runner):
+        doc = run_json(runner, "antiassoc", "verify", "-k", "5", "--budget-evals", "1024")
+        assert "groupoid" not in doc
+        assert doc["all_ok"] is True
+        widths = [len(e["certificate"]["groupoid"]["indices"]) for e in doc["certificates"]]
+        assert len(widths) == doc["factors"] == 91
+        assert doc["width"] == sum(widths)
+
+    def test_k7_refused(self, runner):
+        result = runner.invoke(main, ["antiassoc", "build", "-k", "7"])
+        assert result.exit_code == 2
+        assert "pairs exceed budget" in json.loads(result.stderr)["error"]
 
     def test_k2_rejected(self, runner):
         result = runner.invoke(main, ["antiassoc", "build", "-k", "2"])

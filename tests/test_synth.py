@@ -10,6 +10,8 @@ from termsep.cayley import is_k_antiassociative, separates_exhaustive
 from termsep.synth import (
     CoverWitness,
     CycleWitness,
+    MAX_ANTIASSOC_PAIRS,
+    antiassociative_certificates,
     build_k_antiassociative,
     cover_witness_from_disagreement,
     cycle_opsum,
@@ -203,8 +205,18 @@ class TestBuildKAntiassociative:
             assert affine_separation_decision(cert.groupoid, s, t).separated
 
     def test_pair_budget(self):
+        assert len(antiassociative_certificates(6)) <= MAX_ANTIASSOC_PAIRS
         with pytest.raises(ValueError, match="budget"):
-            build_k_antiassociative(8, max_pairs=10)
+            antiassociative_certificates(7)
+        with pytest.raises(ValueError, match="budget"):
+            build_k_antiassociative(8)
+
+    def test_groupoid_is_the_sum_of_the_certificates(self):
+        G, certs = build_k_antiassociative(4)
+        assert [pair for pair, _ in certs] == [
+            pair for pair, _ in antiassociative_certificates(4)
+        ]
+        assert G.width == sum(cert.groupoid.width for _, cert in certs)
 
     def test_k_below_3_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -284,6 +285,21 @@ class TestDirectSum:
         G = compile_opsum(cover_opsum())
         GS = direct_sum(G, compile_opsum(op_sum([])))
         assert np.array_equal(GS.A, G.A) and np.array_equal(GS.c, G.c)
+
+    def test_many_factors_match_the_left_fold(self):
+        G1 = compile_opsum(cover_opsum())
+        G2 = compile_opsum(op_sum([basic_op(2, "lr", 0)]))
+        G3 = affine_groupoid([[1, 1], [0, 1]], [[0, 1], [1, 0]], [1, 0])
+        E = compile_opsum(op_sum([]))
+        assert G2.indices == (0, 2, 3)
+        for factors in [(G1, G2, G3), (E, G2, G3), (G1, E, G3), (G1, G2, E), (G2, G1)]:
+            GS = direct_sum(*factors)
+            fold = functools.reduce(direct_sum, factors)
+            assert GS.indices == fold.indices
+            for attr in "ABc":
+                assert np.array_equal(getattr(GS, attr), getattr(fold, attr))
+        assert direct_sum(G1, G2, G3).indices == (0, 1, 2, 4, 5, 6, 7)
+        assert direct_sum(E, G2).indices == (0, 2, 3)
 
 
 class TestToCayley:
