@@ -118,12 +118,16 @@ def product_groupoid(G: CayleyGroupoid, H: CayleyGroupoid) -> CayleyGroupoid:
 
 
 def _eval_vectorized(G: CayleyGroupoid, t: Term, env: dict[str, np.ndarray]) -> np.ndarray:
-    table = np.asarray(G.table)
-    def walk(node: Term) -> np.ndarray:
-        if isinstance(node, Var):
-            return env[node.name]
-        return table[walk(node.left), walk(node.right)]
-    return walk(t)
+    return _eval_table(np.asarray(G.table), t, env)
+
+
+def _eval_table(table: np.ndarray, t: Term, env: dict[str, np.ndarray]) -> np.ndarray:
+    # a plain function, not a closure that calls itself: such a closure is a
+    # reference cycle, and it would keep env's arrays alive until the
+    # garbage collector runs
+    if isinstance(t, Var):
+        return env[t.name]
+    return table[_eval_table(table, t.left, env), _eval_table(table, t.right, env)]
 
 
 def separates_exhaustive(

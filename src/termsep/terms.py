@@ -58,7 +58,16 @@ def variables(t: Term) -> list[str]:
     This key orders x1..x9, x10, x11.. the intuitive way and is the
     canonical variable order used for counterexample enumeration.
     """
-    seen = {name for _, name in occurrences(t)}
+    # a plain walk: the decision calls this for every search candidate, and
+    # occurrences() would build a path string per leaf
+    seen = set()
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            seen.add(node.name)
+        else:
+            stack += (node.left, node.right)
     return sorted(seen, key=var_key)
 
 
@@ -112,8 +121,11 @@ def is_proper_prefix(q: str, p: str) -> bool:
 
 # --- text syntax -----------------------------------------------------------
 #
-#   term := factor | factor '*' factor        (top level only)
-#   factor := var | '(' term '*' term ')'
+#   term := factor | factor '*' factor
+#   factor := var | '(' term ')'
+#
+# so redundant parentheses are allowed, as in (x) or ((x*y)), and a
+# product of three factors needs parentheses: x*y*z is rejected.
 
 def parse_term(text: str) -> Term:
     parser = _Parser(text)
@@ -147,15 +159,11 @@ class _Parser:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            left = self.parse_factor()
-            if self.peek() != "*":
-                raise ParseError("expected '*'", self.pos)
-            self.pos += 1
-            right = self.parse_factor()
+            inner = self.parse_top()
             if self.peek() != ")":
                 raise ParseError("expected ')'", self.pos)
             self.pos += 1
-            return Mul(left, right)
+            return inner
         if ch.isalpha():
             start = self.pos
             self.pos += 1

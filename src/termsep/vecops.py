@@ -8,12 +8,14 @@ x*y = A.x + B.y + c on bit vectors indexed by the mentioned registers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from termsep.terms import Mul, Term, Var, var_key, variables
+from termsep import gf2
+from termsep.terms import Term, Var, variables
 
 DEFAULT_TABLE_BITS = 16
 
@@ -22,9 +24,13 @@ class DuplicateTargetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Equation:
-    """z[target] := x|y[source] (+ 1 when flip), with := per component."""
+class Equation(NamedTuple):
+    """z[target] := x|y[source] (+ 1 when flip), with := per component.
+
+    A named tuple rather than a frozen dataclass: every search candidate
+    builds its equations twice, to validate the sum and to compile it, and
+    a named tuple takes less than half the time to build.
+    """
 
     target: int
     side: str  # 'x' or 'y'
@@ -150,22 +156,27 @@ def opsum_from_json(obj: Sequence[dict], allocator: Optional[RegisterAllocator] 
 
 @dataclass(frozen=True)
 class VecGroupoid:
-    """x*y = A.x + B.y + c over GF(2), components named by sorted indices."""
+    """x*y = A.x + B.y + c over GF(2), components named by sorted indices.
+
+    Held as packed rows: bit j of xrows[i] (yrows[i]) is set when output
+    component i reads component j of x (of y), and bit i of cbits is c[i].
+    A, B and c are read-only numpy copies of these rows, built on each
+    read and not kept, so a certificate holds only its rows.
+    """
 
     indices: tuple[int, ...]
-    A: np.ndarray
-    B: np.ndarray
-    c: np.ndarray
+    xrows: tuple[int, ...]
+    yrows: tuple[int, ...]
+    cbits: int
 
     def __post_init__(self):
         m = len(self.indices)
         if tuple(sorted(set(self.indices))) != self.indices:
             raise ValueError("indices must be sorted and distinct")
-        for mat in (self.A, self.B):
-            if mat.shape != (m, m):
-                raise ValueError("matrix shape must match index count")
-        if self.c.shape != (m,):
-            raise ValueError("constant length must match index count")
+        if len(self.xrows) != m or len(self.yrows) != m:
+            raise ValueError("row count must match index count")
+        if max(self.xrows + self.yrows + (self.cbits,)) >> m:
+            raise ValueError("rows must not reach past the index count")
 
     @property
     def width(self) -> int:
@@ -178,6 +189,23 @@ class VecGroupoid:
     def position(self, register: int) -> int:
         return self.indices.index(register)
 
+    @cached_property
+    def sources(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Per output component, the x and the y components it reads."""
+        return tuple((_bits(x), _bits(y)) for x, y in zip(self.xrows, self.yrows))
+
+    @property
+    def A(self) -> np.ndarray:
+        return _view(gf2.unpack_rows(self.xrows, self.width))
+
+    @property
+    def B(self) -> np.ndarray:
+        return _view(gf2.unpack_rows(self.yrows, self.width))
+
+    @property
+    def c(self) -> np.ndarray:
+        return _view(gf2.unpack(self.cbits, self.width))
+
     def to_json(self) -> dict:
         return {
             "indices": list(self.indices),
@@ -188,28 +216,52 @@ class VecGroupoid:
 
     @classmethod
     def from_json(cls, obj: dict) -> "VecGroupoid":
-        return cls(
-            tuple(obj["indices"]),
-            np.array(obj["A"], dtype=np.uint8),
-            np.array(obj["B"], dtype=np.uint8),
-            np.array(obj["c"], dtype=np.uint8),
-        )
+        return _from_dense(tuple(obj["indices"]), obj["A"], obj["B"], obj["c"])
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _view(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _from_dense(indices: tuple[int, ...], A, B, c) -> VecGroupoid:
+    m = len(indices)
+
+    def rows(mat) -> tuple[int, ...]:
+        mat = np.asarray(mat, dtype=np.uint8) % 2
+        if mat.shape != (m, m) and not (m == 0 and mat.size == 0):
+            raise ValueError("matrix shape must match index count")
+        return tuple(gf2.pack_rows(mat.reshape(m, m)))
+
+    c = np.asarray(c, dtype=np.uint8).reshape(-1) % 2
+    if c.shape != (m,):
+        raise ValueError("constant length must match index count")
+    return VecGroupoid(indices, rows(A), rows(B), gf2.pack(c))
 
 
 def compile_opsum(opsum: OpSum) -> VecGroupoid:
-    """Matrix form of an OpSum; unassigned registers stay zero."""
+    """Packed rows of an OpSum; unassigned registers stay zero."""
     indices = tuple(sorted(opsum.registers()))
     pos = {reg: i for i, reg in enumerate(indices)}
-    m = len(indices)
-    A = np.zeros((m, m), dtype=np.uint8)
-    B = np.zeros((m, m), dtype=np.uint8)
-    c = np.zeros(m, dtype=np.uint8)
+    xrows = [0] * len(indices)
+    yrows = [0] * len(indices)
+    cbits = 0
     for eq in opsum.equations():
-        mat = A if eq.side == "x" else B
-        mat[pos[eq.target], pos[eq.source]] = 1
+        rows = xrows if eq.side == "x" else yrows
+        rows[pos[eq.target]] |= 1 << pos[eq.source]
         if eq.flip:
-            c[pos[eq.target]] ^= 1
-    return VecGroupoid(indices, A, B, c)
+            cbits ^= 1 << pos[eq.target]
+    return VecGroupoid(indices, tuple(xrows), tuple(yrows), cbits)
 
 
 def eval_opsum_direct(opsum: OpSum, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
@@ -227,12 +279,28 @@ def eval_opsum_direct(opsum: OpSum, x: dict[int, int], y: dict[int, int]) -> dic
 
 def affine_groupoid(A, B, c) -> VecGroupoid:
     """Direct construction from square matrices; indices are 0..m-1."""
-    A = np.asarray(A, dtype=np.uint8) % 2
-    B = np.asarray(B, dtype=np.uint8) % 2
-    c = np.asarray(c, dtype=np.uint8).reshape(-1) % 2
-    if A.shape != B.shape or A.shape[0] != A.shape[1] or c.shape[0] != A.shape[0]:
+    A = np.asarray(A, dtype=np.uint8)
+    B = np.asarray(B, dtype=np.uint8)
+    m = len(A)
+    if A.shape != (m, m) or B.shape != (m, m) or np.size(c) != m:
         raise ValueError("matrices must be square and of equal dimension")
-    return VecGroupoid(tuple(range(A.shape[0])), A, B, c)
+    return _from_dense(tuple(range(m)), A, B, c)
+
+
+def eval_bits(G: VecGroupoid, x: int, y: int) -> int:
+    """x*y on packed vectors, straight from the rows."""
+    out = G.cbits
+    for i, (xm, ym) in enumerate(zip(G.xrows, G.yrows)):
+        if ((xm & x).bit_count() + (ym & y).bit_count()) & 1:
+            out ^= 1 << i
+    return out
+
+
+def eval_term_bits(G: VecGroupoid, t: Term, env: dict[str, int]) -> int:
+    """Recursive term evaluation with packed variable values."""
+    if isinstance(t, Var):
+        return env[t.name]
+    return eval_bits(G, eval_term_bits(G, t.left, env), eval_term_bits(G, t.right, env))
 
 
 def eval_vec(G: VecGroupoid, x, y) -> np.ndarray:
@@ -240,55 +308,87 @@ def eval_vec(G: VecGroupoid, x, y) -> np.ndarray:
     y = np.asarray(y, dtype=np.uint8)
     if x.shape != (G.width,) or y.shape != (G.width,):
         raise ValueError("argument length must match index count")
-    return (G.A @ x + G.B @ y + G.c) % 2
+    return gf2.unpack(eval_bits(G, gf2.pack(x), gf2.pack(y)), G.width)
 
 
 def eval_term_vec(G: VecGroupoid, t: Term, env: dict[str, np.ndarray]) -> np.ndarray:
     """Recursive term evaluation with bit-vector variable values."""
-    if isinstance(t, Var):
-        return np.asarray(env[t.name], dtype=np.uint8)
-    return eval_vec(G, eval_term_vec(G, t.left, env), eval_term_vec(G, t.right, env))
+    packed = {name: gf2.pack(value) for name, value in env.items()}
+    return gf2.unpack(eval_term_bits(G, t, packed), G.width)
 
 
 @dataclass(frozen=True)
 class AffineTermForm:
-    """Evaluation of a term in a VecGroupoid as an affine map of its vars."""
+    """Evaluation of a term in a VecGroupoid as an affine map of its vars.
+
+    Packed: rows[i] is output component i over the columns k*width + j,
+    component j of the k-th name in vars, and bit i of const_bits is its
+    constant.  coeff (one width x width block per name) and const are
+    read-only numpy views of the same form.
+    """
 
     vars: tuple[str, ...]
-    coeff: dict[str, np.ndarray]
-    const: np.ndarray
+    width: int
+    rows: tuple[int, ...]
+    const_bits: int
+
+    @cached_property
+    def coeff(self) -> dict[str, np.ndarray]:
+        m = self.width
+        dense = _view(gf2.unpack_rows(self.rows, len(self.vars) * m))
+        return {name: dense[:, k * m : (k + 1) * m] for k, name in enumerate(self.vars)}
+
+    @cached_property
+    def const(self) -> np.ndarray:
+        return _view(gf2.unpack(self.const_bits, self.width))
 
     def evaluate(self, env: dict[str, np.ndarray]) -> np.ndarray:
-        acc = self.const.copy()
-        for name in self.vars:
-            acc = (acc + self.coeff[name] @ np.asarray(env[name], dtype=np.uint8)) % 2
-        return acc
+        m = self.width
+        v = 0
+        for k, name in enumerate(self.vars):
+            v |= gf2.pack(env[name]) << (k * m)
+        out = self.const_bits
+        for i, row in enumerate(self.rows):
+            out ^= ((row & v).bit_count() & 1) << i
+        return gf2.unpack(out, m)
 
 
-def term_affine_form(G: VecGroupoid, t: Term) -> AffineTermForm:
+def term_affine_form(
+    G: VecGroupoid, t: Term, names: Optional[Sequence[str]] = None
+) -> AffineTermForm:
+    """The affine form of t, with columns for `names` in that order
+    (default: the variables of t).  Each component's row is the XOR of the
+    child rows it reads; the constant rides along in one extra column."""
     m = G.width
-    names = tuple(variables(t))
+    names = tuple(variables(t)) if names is None else tuple(names)
+    ncols = len(names) * m
+    one = 1 << ncols
+    plan = [
+        (one if (G.cbits >> i) & 1 else 0, xs, ys) for i, (xs, ys) in enumerate(G.sources)
+    ]
+    leaves = {
+        name: [1 << (k * m + j) for j in range(m)] for k, name in enumerate(names)
+    }
+    top = _form_rows(t, leaves, plan)
+    const_bits = 0
+    for i, row in enumerate(top):
+        const_bits |= (row >> ncols) << i
+    return AffineTermForm(names, m, tuple(row & (one - 1) for row in top), const_bits)
 
-    def walk(node: Term) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        if isinstance(node, Var):
-            coeff = {node.name: np.eye(m, dtype=np.uint8)}
-            return coeff, np.zeros(m, dtype=np.uint8)
-        lc, l0 = walk(node.left)
-        rc, r0 = walk(node.right)
-        coeff = {}
-        for name in set(lc) | set(rc):
-            acc = np.zeros((m, m), dtype=np.uint8)
-            if name in lc:
-                acc = (acc + G.A @ lc[name]) % 2
-            if name in rc:
-                acc = (acc + G.B @ rc[name]) % 2
-            coeff[name] = acc
-        const = (G.A @ l0 + G.B @ r0 + G.c) % 2
-        return coeff, const
 
-    coeff, const = walk(t)
-    full = {name: coeff.get(name, np.zeros((m, m), dtype=np.uint8)) for name in names}
-    return AffineTermForm(names, full, const)
+def _form_rows(node: Term, leaves: dict[str, list[int]], plan) -> list[int]:
+    if isinstance(node, Var):
+        return leaves[node.name]
+    left = _form_rows(node.left, leaves, plan)
+    right = _form_rows(node.right, leaves, plan)
+    out = []
+    for acc, xs, ys in plan:
+        for j in xs:
+            acc ^= left[j]
+        for j in ys:
+            acc ^= right[j]
+        out.append(acc)
+    return out
 
 
 def direct_sum(*factors: VecGroupoid) -> VecGroupoid:
@@ -301,21 +401,19 @@ def direct_sum(*factors: VecGroupoid) -> VecGroupoid:
     for G in factors[1:]:
         base = indices[-1] + 1 if indices else 0
         indices.extend(base + r - G.indices[0] for r in G.indices)
-    m = len(indices)
-    A = np.zeros((m, m), dtype=np.uint8)
-    B = np.zeros_like(A)
-    c = np.zeros(m, dtype=np.uint8)
+    xrows: list[int] = []
+    yrows: list[int] = []
+    cbits = 0
     lo = 0
     for G in factors:
-        hi = lo + G.width
-        A[lo:hi, lo:hi] = G.A
-        B[lo:hi, lo:hi] = G.B
-        c[lo:hi] = G.c
-        lo = hi
-    return VecGroupoid(tuple(indices), A, B, c)
+        xrows.extend(row << lo for row in G.xrows)
+        yrows.extend(row << lo for row in G.yrows)
+        cbits |= G.cbits << lo
+        lo += G.width
+    return VecGroupoid(tuple(indices), tuple(xrows), tuple(yrows), cbits)
 
 
-def vec_to_int(G: VecGroupoid, vec: np.ndarray) -> int:
+def vec_to_int(vec: np.ndarray) -> int:
     """Bit vector read as binary, first component most significant."""
     out = 0
     for b in vec:

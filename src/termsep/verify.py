@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -23,7 +24,7 @@ from termsep.vecops import (
     VecGroupoid,
     basic_op,
     compile_opsum,
-    eval_term_vec,
+    eval_term_bits,
     op_sum,
     term_affine_form,
     to_cayley,
@@ -37,21 +38,26 @@ class AffineDecision:
     separated: bool
     # exactly one of the two witnesses is set
     lam: Optional[frozenset[int]] = None
-    assignment: Optional[dict[str, np.ndarray]] = None
+    # the equality witness, each variable's value packed into an int
+    witness: Optional[dict[str, int]] = None
+    width: int = 0
+
+    @cached_property
+    def assignment(self) -> Optional[dict[str, np.ndarray]]:
+        """The equality witness as one bit vector per variable."""
+        if self.witness is None:
+            return None
+        return {name: gf2.unpack(value, self.width) for name, value in self.witness.items()}
 
 
 def _difference_system(G: VecGroupoid, s: Term, t: Term):
+    """D | d0 as packed rows: the XOR of the two terms' forms over the
+    variables of both, sorted."""
     names = sorted(set(variables(s)) | set(variables(t)), key=var_key)
-    S = term_affine_form(G, s)
-    T = term_affine_form(G, t)
-    m = G.width
-    zero = np.zeros((m, m), dtype=np.uint8)
-    blocks = [
-        (S.coeff.get(name, zero) + T.coeff.get(name, zero)) % 2 for name in names
-    ]
-    D = np.hstack(blocks) if blocks else np.zeros((m, 0), dtype=np.uint8)
-    d0 = (S.const + T.const) % 2
-    return names, D, d0
+    S = term_affine_form(G, s, names)
+    T = term_affine_form(G, t, names)
+    D = gf2.Matrix([a ^ b for a, b in zip(S.rows, T.rows)], len(names) * G.width)
+    return names, D, S.const_bits ^ T.const_bits
 
 
 def affine_separation_decision(G: VecGroupoid, s: Term, t: Term) -> AffineDecision:
@@ -59,22 +65,18 @@ def affine_separation_decision(G: VecGroupoid, s: Term, t: Term) -> AffineDecisi
     m = G.width
     solution = gf2.solve(D, d0)
     if solution is not None:
-        assignment = {
-            name: solution[i * m : (i + 1) * m] for i, name in enumerate(names)
-        }
-        value_s = eval_term_vec(G, s, assignment) if m else np.zeros(0, dtype=np.uint8)
-        value_t = eval_term_vec(G, t, assignment) if m else np.zeros(0, dtype=np.uint8)
-        if not np.array_equal(value_s, value_t):
+        mask = (1 << m) - 1
+        env = {name: (solution >> (k * m)) & mask for k, name in enumerate(names)}
+        if eval_term_bits(G, s, env) != eval_term_bits(G, t, env):
             raise AssertionError("equality witness failed re-evaluation")
-        return AffineDecision(False, assignment=assignment)
+        return AffineDecision(False, witness=env, width=m)
     # lam . D = 0 with lam . d0 = 1; stack both conditions as one system
-    system = np.vstack([D.T, d0.reshape(1, -1)])
-    rhs = np.zeros(system.shape[0], dtype=np.uint8)
-    rhs[-1] = 1
-    lam_vec = gf2.min_weight_solution(system, rhs)
+    system = D.transpose()
+    system.rows.append(d0)
+    lam_vec = gf2.min_weight_solution(system, 1 << (len(system.rows) - 1))
     if lam_vec is None:
         raise AssertionError("separated instance must admit a parity functional")
-    lam = frozenset(int(G.indices[i]) for i in np.nonzero(lam_vec)[0])
+    lam = frozenset(reg for i, reg in enumerate(G.indices) if (lam_vec >> i) & 1)
     return AffineDecision(True, lam=lam)
 
 
@@ -83,11 +85,14 @@ def check_parity_functional(
 ) -> bool:
     """Does the register set lam sum to constantly different values?"""
     _, D, d0 = _difference_system(G, s, t)
-    sel = np.zeros(G.width, dtype=np.uint8)
+    sel = 0
     for reg in lam:
-        sel[G.position(reg)] = 1
-    linear = (sel @ D) % 2
-    return not linear.any() and int(sel @ d0) % 2 == 1
+        sel |= 1 << G.position(reg)
+    linear = 0
+    for i, row in enumerate(D.rows):
+        if (sel >> i) & 1:
+            linear ^= row
+    return not linear and (sel & d0).bit_count() % 2 == 1
 
 
 def cross_check(
@@ -140,18 +145,6 @@ def _random_term_with_path(rng: random.Random, path: str, max_extra_depth: int) 
     return along(0)
 
 
-def _component_formula(G: VecGroupoid, t: Term, register: int):
-    """Affine form of one output component: ({var: row}, const_bit)."""
-    form = term_affine_form(G, t)
-    pos = G.position(register)
-    rows = {name: form.coeff[name][pos] for name in form.vars}
-    return rows, int(form.const[pos])
-
-
-def _env_zero(G: VecGroupoid, names) -> dict[str, np.ndarray]:
-    return {n: np.zeros(G.width, dtype=np.uint8) for n in names}
-
-
 def check_transfer_lemma(G: VecGroupoid, opsum: OpSum, op_index: int, term: Term) -> bool:
     """s[n] equals s_p[m] (plus 1 when tweaked) as affine forms.
 
@@ -159,21 +152,13 @@ def check_transfer_lemma(G: VecGroupoid, opsum: OpSum, op_index: int, term: Term
     assignment, and stays exact at any width.
     """
     op = opsum.summands[op_index]
-    sub = subterm_at(term, op.p)
-    whole_rows, whole_const = _component_formula(G, term, op.n)
-    sub_rows, sub_const = _component_formula(G, sub, op.m)
-    names = set(variables(term))
-    for name in names:
-        want = sub_rows.get(name)
-        got = whole_rows.get(name)
-        if want is None:
-            want = np.zeros(G.width, dtype=np.uint8)
-        if got is None:
-            got = np.zeros(G.width, dtype=np.uint8)
-        if not np.array_equal(want, got):
-            return False
-    expect_const = (sub_const + (1 if op.tweaked else 0)) % 2
-    return whole_const == expect_const
+    names = variables(term)
+    whole = term_affine_form(G, term, names)
+    sub = term_affine_form(G, subterm_at(term, op.p), names)
+    n, m = G.position(op.n), G.position(op.m)
+    if whole.rows[n] != sub.rows[m]:
+        return False
+    return (whole.const_bits >> n) & 1 == ((sub.const_bits >> m) & 1) ^ op.tweaked
 
 
 def _random_opsum(rng: random.Random) -> tuple[OpSum, int]:

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -156,6 +157,17 @@ class TestSeparatesExhaustive:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             separates_exhaustive(Z3_RIGHT, *enumerate_ordered_terms(3), budget=10)
+
+    def test_leaves_no_reference_cycles(self):
+        # a cycle would hold each chunk's arrays until the collector runs
+        s, t = parse_term("x*(z*(z*x))"), parse_term("(y*z)*(x*y)")
+        gc.collect()
+        gc.disable()
+        try:
+            separates_exhaustive(Z3_RIGHT, s, t)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_verdict_consistency_enforced(self):
         with pytest.raises(ValueError):

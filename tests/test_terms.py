@@ -51,6 +51,18 @@ class TestParsing:
     def test_whitespace_ignored(self):
         assert parse_term(" ( x * y ) ") == Mul(Var("x"), Var("y"))
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("(x)", "x"), ("((x*u))", "x*u"), ("(x)*u", "x*u"), ("((x))*(u*(v))", "x*(u*v)")],
+    )
+    def test_redundant_parentheses(self, text, expected):
+        assert parse_term(text) == parse_term(expected)
+
+    @pytest.mark.parametrize("text", ["x*y*z", "(x*y*z)", "()", "(x"])
+    def test_rejects_malformed(self, text):
+        with pytest.raises(ParseError):
+            parse_term(text)
+
     def test_syntax_error_has_position(self):
         with pytest.raises(ParseError) as err:
             parse_term("(x*")

@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from termsep.cayley import eval_cayley
-from termsep.terms import parse_term
+from termsep.terms import parse_term, variables
 from termsep.vecops import (
     BasicOp,
     DuplicateTargetError,
@@ -265,6 +266,69 @@ class TestTermAffineForm:
         assert not np.array_equal(fs.const, ft.const)
 
 
+class TestTermFormAgainstDense:
+    """Packed forms equal the dense A @ M composition."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_groupoids_and_terms(self, seed):
+        rng = random.Random(100 + seed)
+        for G in dense.random_groupoids(seed, 60):
+            for _ in range(4):
+                t = dense.random_term(rng, rng.randint(1, 7))
+                form = term_affine_form(G, t)
+                coeff, const = dense.term_form(G, t)
+                assert form.vars == tuple(variables(t))
+                assert set(coeff) == set(form.vars)
+                for name in form.vars:
+                    assert np.array_equal(form.coeff[name], coeff[name])
+                assert np.array_equal(form.const, const)
+
+    def test_worked_example(self):
+        G, s, t = dense.worked_example()
+        for term in (s, t):
+            coeff, const = dense.term_form(G, term)
+            form = term_affine_form(G, term)
+            assert all(np.array_equal(form.coeff[n], coeff[n]) for n in "vwxyz")
+            assert np.array_equal(form.const, const)
+
+    def test_names_set_the_column_layout(self):
+        G, s, _ = dense.worked_example()
+        wide = term_affine_form(G, parse_term("x*v"), ("a", "v", "x"))
+        own = term_affine_form(G, parse_term("x*v"))
+        assert wide.vars == ("a", "v", "x") and own.vars == ("v", "x")
+        assert not wide.coeff["a"].any()
+        for name in own.vars:
+            assert np.array_equal(wide.coeff[name], own.coeff[name])
+        assert wide.rows == tuple(row << G.width for row in own.rows)
+        assert wide.const_bits == own.const_bits
+
+
+class TestPackedRows:
+    def test_compile_fills_the_rows(self):
+        G = compile_opsum(cover_opsum())
+        # z[0] := x[1]; z[1] := x[1] + 1
+        assert G.xrows == (0b10, 0b10) and G.yrows == (0, 0) and G.cbits == 0b10
+        assert G.A.tolist() == [[0, 1], [0, 1]] and G.c.tolist() == [0, 1]
+
+    def test_views_are_read_only(self):
+        G = compile_opsum(cover_opsum())
+        with pytest.raises(ValueError):
+            G.A[0, 0] = 1
+        with pytest.raises(ValueError):
+            term_affine_form(G, parse_term("x")).const[0] = 1
+
+    def test_json_round_trip_keeps_the_rows(self):
+        G, _, _ = dense.worked_example()
+        for H in (G, compile_opsum(cover_opsum()), compile_opsum(op_sum([]))):
+            assert VecGroupoid.from_json(H.to_json()) == H
+
+    def test_rows_must_fit_the_width(self):
+        with pytest.raises(ValueError):
+            VecGroupoid((0, 1), (0b100, 0), (0, 0), 0)
+        with pytest.raises(ValueError):
+            VecGroupoid((0, 1), (0,), (0, 0), 0)
+
+
 class TestDirectSum:
     def test_blocks_evaluate_independently(self):
         G1 = compile_opsum(cover_opsum())
@@ -309,7 +373,7 @@ class TestToCayley:
         assert table.n == 4
         for i, j in itertools.product(range(4), repeat=2):
             x, y = int_to_vec(G, i), int_to_vec(G, j)
-            assert table.op(i, j) == vec_to_int(G, eval_vec(G, x, y))
+            assert table.op(i, j) == vec_to_int(eval_vec(G, x, y))
 
     def test_width_bound(self):
         G = compile_opsum(cover_opsum())

@@ -1,9 +1,11 @@
+import gc
 import random
 
 import numpy as np
 import pytest
 
-from termsep.synth import find_cover_pair, synth_cover
+import dense_reference as dense
+from termsep.synth import decide_finite_separability, find_cover_pair, synth_cover
 from termsep.terms import Mul, Var, parse_term
 from termsep.vecops import (
     RegisterAllocator,
@@ -59,6 +61,64 @@ class TestAffineDecision:
         assert check_parity_functional(G, s, t, frozenset({1}))
         assert not check_parity_functional(G, s, t, frozenset({0, 1}))
         assert not check_parity_functional(G, s, t, frozenset())
+
+
+class TestAgainstDense:
+    """The packed decision and parity check give the dense path's results."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_decision(self, seed):
+        rng = random.Random(200 + seed)
+        separated = 0
+        for G in dense.random_groupoids(seed, 60):
+            for _ in range(5):
+                s = dense.random_term(rng, rng.randint(1, 6))
+                t = dense.random_term(rng, rng.randint(1, 6))
+                got = affine_separation_decision(G, s, t)
+                want_sep, want_lam, want_assignment = dense.decision(G, s, t)
+                assert got.separated == want_sep and got.lam == want_lam
+                if want_assignment is None:
+                    assert got.assignment is None
+                else:
+                    assert {n: v.tolist() for n, v in got.assignment.items()} == {
+                        n: v.tolist() for n, v in want_assignment.items()
+                    }
+                separated += want_sep
+        assert separated > 0
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_parity_check(self, seed):
+        rng = random.Random(300 + seed)
+        for G in dense.random_groupoids(seed, 40):
+            s = dense.random_term(rng, rng.randint(1, 6))
+            t = dense.random_term(rng, rng.randint(1, 6))
+            for _ in range(4):
+                lam = frozenset(r for r in G.indices if rng.random() < 0.5)
+                assert check_parity_functional(G, s, t, lam) == dense.parity_ok(G, s, t, lam)
+            decision = affine_separation_decision(G, s, t)
+            if decision.separated:
+                assert check_parity_functional(G, s, t, decision.lam)
+
+    def test_decision_leaves_no_reference_cycles(self):
+        G, s, t = dense.worked_example()
+        gc.collect()
+        gc.disable()
+        try:
+            for pair in ((s, t), (s, s)):
+                affine_separation_decision(G, *pair)
+                check_parity_functional(G, *pair, frozenset({0}))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_search_certificate_is_pinned(self):
+        result = decide_finite_separability(parse_term("x*(y*y)"), parse_term("(y*(y*y))*x"))
+        assert result.construction == "search"
+        assert result.certificate.opsum.render() == "||1,l,0|| + ||1,r,1||'"
+        assert result.to_json()["lambda"] == [0, 1]
+        assert result.to_json()["groupoid"] == {
+            "indices": [0, 1], "A": [[0, 1], [0, 0]], "B": [[0, 0], [0, 1]], "c": [0, 1],
+        }
 
 
 class TestCrossCheck:
