@@ -117,17 +117,31 @@ def product_groupoid(G: CayleyGroupoid, H: CayleyGroupoid) -> CayleyGroupoid:
     return CayleyGroupoid(tuple(table))
 
 
-def _eval_vectorized(G: CayleyGroupoid, t: Term, env: dict[str, np.ndarray]) -> np.ndarray:
-    return _eval_table(np.asarray(G.table), t, env)
+def _steps(terms: Sequence[Term]) -> tuple[list, list[int]]:
+    """Post-order evaluation steps of the terms and each term's last step.
 
-
-def _eval_table(table: np.ndarray, t: Term, env: dict[str, np.ndarray]) -> np.ndarray:
-    # a plain function, not a closure that calls itself: such a closure is a
-    # reference cycle, and it would keep env's arrays alive until the
-    # garbage collector runs
-    if isinstance(t, Var):
-        return env[t.name]
-    return table[_eval_table(table, t.left, env), _eval_table(table, t.right, env)]
+    A step is a variable name or the pair of the earlier steps it
+    multiplies.  The walk keeps its own stack, so a deep term needs no
+    recursion.
+    """
+    steps: list = []
+    roots = []
+    for t in terms:
+        done: list[int] = []
+        stack: list = [t]
+        while stack:
+            node = stack.pop()
+            if node is None:  # both children of a product are done
+                right = done.pop()
+                steps.append((done.pop(), right))
+                done.append(len(steps) - 1)
+            elif isinstance(node, Var):
+                steps.append(node.name)
+                done.append(len(steps) - 1)
+            else:
+                stack += (None, node.right, node.left)
+        roots.append(done.pop())
+    return steps, roots
 
 
 def separates_exhaustive(
@@ -136,23 +150,48 @@ def separates_exhaustive(
     t: Term,
     budget: int = DEFAULT_EVAL_BUDGET,
 ) -> SeparationVerdict:
-    """Check all assignments; counterexamples come lexicographic-first."""
+    """Check all assignments; counterexamples come lexicographic-first.
+
+    The trailing variables whose joint range fits in _CHUNK each get an
+    axis of a block; the leading ones are fixed per block.  A subterm is
+    evaluated over the axes of its own variables only and broadcast.
+    """
     names = sorted(set(variables(s)) | set(variables(t)), key=var_key)
     n = G.n
     total = n ** len(names)
     if total > budget:
         raise BudgetExceededError(f"{total} assignments exceed budget {budget}")
-    weights = [n ** (len(names) - 1 - i) for i in range(len(names))]
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total))
-        env = {name: (idx // w) % n for name, w in zip(names, weights)}
-        vs = _eval_vectorized(G, s, env)
-        vt = _eval_vectorized(G, t, env)
-        equal = vs == vt
-        if equal.any():
-            hit = int(idx[int(np.argmax(equal))])
-            assignment = {name: (hit // w) % n for name, w in zip(names, weights)}
-            return SeparationVerdict(False, assignment)
+    inner = 1
+    while inner < len(names) and n ** (inner + 1) <= _CHUNK:
+        inner += 1
+    lead, trail = names[: len(names) - inner], names[len(names) - inner :]
+    env = {
+        name: np.arange(n).reshape([n if j == i else 1 for j in range(inner)])
+        for i, name in enumerate(trail[:-1])
+    }
+    flat = np.asarray(G.table, dtype=np.intp).reshape(-1)
+    steps, (root_s, root_t) = _steps((s, t))
+    for fixed in itertools.product(range(n), repeat=len(lead)):
+        env.update(zip(lead, fixed))
+        # the last variable's range is cut into slices when n > _CHUNK
+        for lo in range(0, n, _CHUNK):
+            env[trail[-1]] = np.arange(lo, min(lo + _CHUNK, n))
+            values = []
+            for step in steps:
+                if isinstance(step, str):
+                    values.append(env[step])
+                else:
+                    left, right = step
+                    values.append(flat[values[left] * n + values[right]])
+            # every variable occurs in s or t, so equal spans the whole block
+            equal = values[root_s] == values[root_t]
+            if equal.any():
+                hit = np.unravel_index(int(np.argmax(equal)), equal.shape)
+                assignment = dict(zip(lead, fixed))
+                for name, i in zip(trail, hit):
+                    assignment[name] = int(i)
+                assignment[trail[-1]] += lo
+                return SeparationVerdict(False, assignment)
     return SeparationVerdict(True)
 
 

@@ -39,15 +39,18 @@ from termsep.vecops import (
 
 
 def _emit(obj, fmt: str, text_lines=None):
+    # the stream is named on each call: click.echo(file=None) caches the
+    # current stdout in a WeakKeyDictionary whose value is the stream itself,
+    # so a redirected stdout, and all it holds, would never be freed
     if fmt == "json":
-        click.echo(json.dumps(obj, indent=2, sort_keys=True))
+        click.echo(json.dumps(obj, indent=2, sort_keys=True), file=sys.stdout)
     else:
         for line in text_lines if text_lines is not None else [json.dumps(obj)]:
-            click.echo(line)
+            click.echo(line, file=sys.stdout)
 
 
 def _fail(message: str, code: int = 1):
-    click.echo(json.dumps({"error": message}), err=True)
+    click.echo(json.dumps({"error": message}), file=sys.stderr)
     sys.exit(code)
 
 

@@ -77,16 +77,16 @@ def var_key(name: str):
 
 def occurrences(t: Term) -> list[tuple[str, str]]:
     """All leaves of t as (path, variable name), left to right."""
+    # an explicit stack, not a closure that calls itself: such a closure is
+    # a reference cycle, and deep terms would exceed the recursion limit
     out: list[tuple[str, str]] = []
-
-    def walk(node: Term, path: str):
+    stack = [(t, "")]
+    while stack:
+        node, path = stack.pop()
         if isinstance(node, Var):
             out.append((path, node.name))
         else:
-            walk(node.left, path + "l")
-            walk(node.right, path + "r")
-
-    walk(t, "")
+            stack += ((node.right, path + "r"), (node.left, path + "l"))
     return out
 
 
@@ -182,15 +182,18 @@ class _Parser:
 
 def render_term(t: Term) -> str:
     """Inverse of parse_term; outermost parentheses omitted."""
-
-    def inner(node: Term) -> str:
-        if isinstance(node, Var):
-            return node.name
-        return f"({inner(node.left)}*{inner(node.right)})"
-
-    if isinstance(t, Mul):
-        return f"{inner(t.left)}*{inner(t.right)}"
-    return inner(t)
+    out = []
+    stack: list = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Var):
+            out.append(item.name)
+        else:
+            stack += (")", item.right, "*", item.left, "(")
+    text = "".join(out)
+    return text[1:-1] if isinstance(t, Mul) else text
 
 
 def term_to_json(t: Term):

@@ -99,6 +99,15 @@ class TestProduct:
                         assert separates_exhaustive(GH, s, t).separated
 
 
+def _plain_first_counterexample(G, s, t):
+    names = sorted(set(variables(s)) | set(variables(t)), key=var_key)
+    for vals in itertools.product(range(G.n), repeat=len(names)):
+        env = dict(zip(names, vals))
+        if eval_cayley(G, s, env) == eval_cayley(G, t, env):
+            return env
+    return None
+
+
 class TestSeparatesExhaustive:
     def test_equal_terms_zero_counterexample(self):
         t = parse_term("(x*y)*z")
@@ -153,6 +162,49 @@ class TestSeparatesExhaustive:
             verdict = separates_exhaustive(G, s, t)
             assert verdict.separated == (first is None)
             assert verdict.counterexample == first
+
+    @pytest.mark.parametrize(
+        "s_text, t_text",
+        [
+            ("x*(y*z)", "(x*y)*x"),  # z occurs in one term only
+            ("y*x", "y"),  # so does x, and one term is a bare variable
+            ("x*(y*y)", "(y*(y*z))*x"),  # repeated variables
+            ("(x*x)*x", "x"),  # one variable, repeated
+            ("x10*(x2*x10)", "x9*x2"),  # names in var_key order, not text order
+        ],
+    )
+    @pytest.mark.parametrize("chunk", [3, 2**13])
+    def test_broadcast_blocks_agree_with_plain_enumeration(
+        self, monkeypatch, s_text, t_text, chunk
+    ):
+        # a chunk of 3 with orders of 5 and 6 cuts the last variable's range
+        # into slices, so a first hit at a value of 3 or more needs the offset
+        monkeypatch.setattr(cayley, "_CHUNK", chunk)
+        s, t = parse_term(s_text), parse_term(t_text)
+        rng = random.Random(s_text + t_text)
+        groupoids = [Z3_RIGHT, product_groupoid(Z2_LEFT, Z3_RIGHT)] + [
+            CayleyGroupoid(
+                tuple(tuple(rng.randrange(5) for _ in range(5)) for _ in range(5))
+            )
+            for _ in range(30)
+        ]
+        last = max(set(variables(s)) | set(variables(t)), key=var_key)
+        late = 0
+        for G in groupoids:
+            first = _plain_first_counterexample(G, s, t)
+            verdict = separates_exhaustive(G, s, t)
+            assert verdict.separated == (first is None)
+            assert verdict.counterexample == first
+            late += first is not None and first[last] >= 3
+        assert late > 0
+
+    def test_deep_term_needs_no_recursion(self):
+        comb = parse_term("x")
+        for _ in range(5000):
+            comb = comb * parse_term("x")
+        verdict = separates_exhaustive(Z2_LEFT, comb, parse_term("x"))
+        # x*y = x+1 (mod 2): the comb is x + 5000 = x
+        assert verdict.counterexample == {"x": 0}
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):

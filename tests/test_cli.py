@@ -1,4 +1,7 @@
+import io
 import json
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from click.testing import CliRunner
@@ -168,3 +171,26 @@ class TestDemo:
     def test_unknown_demo(self, runner):
         result = runner.invoke(main, ["demo", "nope"])
         assert result.exit_code != 0
+
+
+class TestStreams:
+    # the antiassoc document is 1.15 MB at k=6: a stream kept after the call
+    # keeps it too
+
+    def test_redirected_stdout_is_freed(self):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            main(["terms", "count", "-k", "3"], standalone_mode=False)
+        assert json.loads(out.getvalue()) == {"k": 3, "count": 2}
+        ref = weakref.ref(out)
+        del out
+        assert ref() is None
+
+    def test_redirected_stderr_is_freed(self):
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit):
+            main(["terms", "count", "-k", "0"], standalone_mode=False)
+        assert "error" in json.loads(err.getvalue())
+        ref = weakref.ref(err)
+        del err
+        assert ref() is None

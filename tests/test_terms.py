@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -100,6 +101,32 @@ class TestOccurrences:
     def test_every_path_addresses_its_leaf(self, t):
         for path, name in occurrences(t):
             assert subterm_at(t, path) == Var(name)
+
+
+class TestTreeWalks:
+    def test_leave_no_reference_cycles(self):
+        t = parse_term("(x1*(x2*x3))*(x4*x5)")
+        gc.collect()
+        gc.disable()
+        try:
+            occurrences(t)
+            render_term(t)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_deep_left_comb(self):
+        t = Var("x0")
+        for i in range(1, 10_001):
+            t = Mul(t, Var(f"x{i}"))
+        occ = occurrences(t)
+        assert len(occ) == 10_001
+        assert occ[0] == ("l" * 10_000, "x0")
+        assert occ[1] == ("l" * 9_999 + "r", "x1")
+        assert occ[-1] == ("r", "x10000")
+        text = render_term(t)
+        assert text.startswith("(" * 9_999 + "x0*x1)*x2)")
+        assert text.endswith(")*x9999)*x10000")
 
 
 class TestSubterm:
