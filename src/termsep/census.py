@@ -1,15 +1,31 @@
 """Exhaustive census of 3-antiassociative Cayley tables of small order.
 
-Tables are built entry by entry in row-major order; a branch dies as
-soon as some triple (a,b,c) has all five needed entries fixed with
-(a*b)*c = a*(b*c).  Work splits across processes by first-row prefix,
-and the counts are plain sums, so worker count never changes a result.
+A table of order n is a list of n rows, each one of the n^n functions
+g: {0..n-1} -> {0..n-1}, with row a the map b -> a*b.  Antiassociativity,
+(a*b)*c != a*(b*c) for all a, b, c, is one rule per pair (a, b): the row
+of a*b differs at every column from row_a composed with row_b.
+
+Rows are picked in order.  Every unpicked row keeps a domain, a Python int
+with one bit per candidate row.  Picking row k ANDs into the domain of
+each later row j a mask for every rule whose rows, apart from j, are now
+all picked: rows differing everywhere from a composition, rows whose
+values at some columns avoid a set, and for the rules where row j's own
+values say which row is a*b, "g(b) != v or ..." for each value v.  The
+masks come from per-column bitmasks and memoised compositions, built on
+the first census of each n.  The last row is never enumerated: its
+domain's popcount is the number of completions.
+
+Relabelling by a permutation s that fixes 0 maps the tables whose first
+row is f one to one onto those whose first row is s o f o s^-1, so the
+count runs once per orbit of first rows (52 at n = 4, of 256) and is
+weighted by the orbit's size.  Work splits across processes by orbit, and
+the counts are plain sums, so worker count never changes a result.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -67,90 +83,195 @@ def literally_deranged_tables(n: int) -> set[tuple[int, ...]]:
     return out
 
 
-def _candidate_triples(n: int):
-    """For each entry index, triples worth re-checking after assigning it.
+class _RowTables:
+    """Bitmasks over the n^n rows of order n, indexed as itertools.product
+    lists them; bit i of a mask stands for row i."""
 
-    Entry (x,y) can be any of the four lookups of triple (a,b,c): the
-    products (a,b) or (b,c) directly, or one of the value-dependent
-    lookups, which have column c == y or row a == x.
-    """
-    per_entry = [[] for _ in range(n * n)]
-    for e in range(n * n):
-        x, y = divmod(e, n)
-        seen = set()
-        for a, b, c in itertools.product(range(n), repeat=3):
-            if (a, b) == (x, y) or (b, c) == (x, y) or c == y or a == x:
-                if (a, b, c) not in seen:
-                    seen.add((a, b, c))
-                    per_entry[e].append((a * n + b, b * n + c, a, c))
-    return per_entry
+    def __init__(self, n: int):
+        self.n = n
+        self.rows = rows = list(itertools.product(range(n), repeat=n))
+        self.full = full = (1 << len(rows)) - 1
+        # eq[c][v]: rows g with g(c) == v
+        self.eq = eq = [[0] * n for _ in range(n)]
+        for i, g in enumerate(rows):
+            for c, v in enumerate(g):
+                eq[c][v] |= 1 << i
+        # outside[c][S]: rows g with g(c) outside the value set S, a bitset
+        self.outside = outside = [
+            [full ^ functools.reduce(int.__or__, (eq[c][v] for v in range(n) if s >> v & 1), 0)
+             for s in range(1 << n)]
+            for c in range(n)
+        ]
+        # apart[c][d]: rows g with g(c) != g(d)
+        apart = [
+            [0 if c == d else functools.reduce(
+                int.__or__, (eq[c][v] & outside[d][1 << v] for v in range(n)))
+             for d in range(n)]
+            for c in range(n)
+        ]
+
+        def every_column(masks):
+            return functools.reduce(int.__and__, masks, full)
+
+        # differ[i]: rows differing from row i at every column
+        self.differ = [every_column(outside[c][1 << v] for c, v in enumerate(g)) for g in rows]
+        # unhinged[i]: rows h with h(c) != h(g(c)) for every c, g row i
+        self.unhinged = [every_column(apart[c][v] for c, v in enumerate(g)) for g in rows]
+        # fixed_free[i]: rows h whose values avoid every fixed point of row i
+        self.fixed_free = []
+        # preimages[i][v]: the columns d with g(d) == v, as a bitset
+        self.preimages = []
+        for g in rows:
+            fixed = sum(1 << c for c, v in enumerate(g) if c == v)
+            self.fixed_free.append(every_column(outside[c][fixed] for c in range(n)))
+            pre = [0] * n
+            for d, v in enumerate(g):
+                pre[v] |= 1 << d
+            self.preimages.append(pre)
+        # new_pairs[k]: the ordered pairs of rows 0..k that include row k
+        self.new_pairs = [
+            [(k, b) for b in range(k + 1)] + [(a, k) for a in range(k)] for k in range(n)
+        ]
+        self.orbits = self._first_row_orbits()
+
+    def index(self, g) -> int:
+        i = 0
+        for v in g:
+            i = i * self.n + v
+        return i
+
+    @functools.cache
+    def compose(self, i: int, j: int) -> int:
+        """Index of row i o row j."""
+        f = self.rows[i]
+        return self.index(f[x] for x in self.rows[j])
+
+    @functools.cache
+    def after(self, i: int, j: int) -> int:
+        """Rows g with g o row i differing from row j at every column."""
+        return functools.reduce(
+            int.__and__,
+            (self.outside[d][1 << v] for d, v in zip(self.rows[i], self.rows[j])),
+            self.full,
+        )
+
+    @functools.cache
+    def before(self, i: int, j: int) -> int:
+        """Rows g with row i o g differing from row j at every column."""
+        pre = self.preimages[i]
+        return functools.reduce(
+            int.__and__,
+            (self.outside[c][pre[v]] for c, v in enumerate(self.rows[j])),
+            self.full,
+        )
+
+    @functools.cache
+    def squares_differ(self, i: int) -> int:
+        """Rows g with g o g differing from row i at every column."""
+        differ = self.differ[i]
+        return sum(1 << g for g in range(len(self.rows)) if differ >> self.compose(g, g) & 1)
+
+    def _first_row_orbits(self) -> list[tuple[tuple[int, ...], int]]:
+        """(least member, size) of each orbit of first rows under s o f o s^-1,
+        s running over the permutations that fix 0."""
+        n = self.n
+        orbits: dict[tuple[int, ...], int] = {}
+        for f in self.rows:
+            members = set()
+            for tail in itertools.permutations(range(1, n)):
+                s = (0,) + tail
+                inverse = [0] * n
+                for x, y in enumerate(s):
+                    inverse[y] = x
+                members.add(tuple(s[f[inverse[x]]] for x in range(n)))
+            orbits[min(members)] = len(members)
+        return sorted(orbits.items())
+
+    def allowed(self, picked: list[int], k: int, j: int) -> int:
+        """Rows allowed for row j by the rules that picking row k has made
+        decidable: those whose rows other than j are all among rows 0..k
+        and include row k.  picked[a] is the index of row a, for a <= k."""
+        rows, eq, full = self.rows, self.eq, self.full
+        known = [rows[p] for p in picked[: k + 1]]
+        pk = picked[k]
+        # j*k == j: j*c against j*(k*c), and j*j == k: k*c against j*(j*c)
+        mask = ((full ^ eq[k][j]) | self.unhinged[pk]) & (
+            (full ^ eq[j][k]) | self.squares_differ(pk)
+        )
+        # k*j == j: j*c against k*(j*c)
+        if known[k][j] == j:
+            mask &= self.fixed_free[pk]
+        for a, b in self.new_pairs[k]:
+            pa, pb = picked[a], picked[b]
+            # a*b == j: j*c against a*(b*c)
+            if known[a][b] == j:
+                mask &= self.differ[self.compose(pa, pb)]
+            # a*j == b: b*c against a*(j*c)
+            if known[a][j] == b:
+                mask &= self.before(pa, pb)
+            # j*a == b: b*c against j*(a*c)
+            mask &= (full ^ eq[a][b]) | self.after(pa, pb)
+        return mask
+
+    def count_below(self, picked: list[int], domains: list[int], k: int) -> int:
+        """Completions once rows 0..k are picked, with the given domains
+        for the later rows."""
+        last = self.n - 1
+        narrowed = domains[:]
+        for j in range(k + 1, self.n):
+            narrowed[j] &= self.allowed(picked, k, j)
+            if not narrowed[j]:
+                return 0
+        if k + 1 == last:
+            return narrowed[last].bit_count()
+        total = 0
+        left = narrowed[k + 1]
+        while left:
+            low = left & -left
+            picked[k + 1] = low.bit_length() - 1
+            total += self.count_below(picked, narrowed, k + 1)
+            left ^= low
+        return total
 
 
-def _violated(table, n, triples) -> bool:
-    """Any fully-determined triple with (a*b)*c == a*(b*c)?"""
-    for ab_idx, bc_idx, a, c in triples:
-        ab = table[ab_idx]
-        if ab < 0:
-            continue
-        bc = table[bc_idx]
-        if bc < 0:
-            continue
-        lhs = table[ab * n + c]
-        if lhs < 0:
-            continue
-        rhs = table[a * n + bc]
-        if rhs < 0:
-            continue
-        if lhs == rhs:
-            return True
-    return False
+@functools.cache
+def _row_tables(n: int) -> _RowTables:
+    return _RowTables(n)
 
 
-def _count_subtree(n: int, prefix: tuple[int, ...]) -> int:
-    """Antiassociative completions of the given row-major prefix."""
-    per_entry = _candidate_triples(n)
-    size = n * n
-    table = [-1] * size
-    for i, v in enumerate(prefix):
-        table[i] = v
-        if _violated(table, n, per_entry[i]):
-            return 0
-    count = 0
-    start = len(prefix)
+def _count_first_row(n: int, first: tuple[int, ...]) -> int:
+    """Antiassociative tables whose first row is the given one."""
+    if first[0] == 0:  # (0*0)*0 = 0*(0*0)
+        return 0
+    tables = _row_tables(n)
+    picked = [tables.index(first)] + [0] * (n - 1)
+    domains = [tables.full ^ tables.eq[j][j] for j in range(n)]  # j*j != j
+    return tables.count_below(picked, domains, 0)
 
-    def descend(pos: int):
-        nonlocal count
-        if pos == size:
-            count += 1
-            return
-        triples = per_entry[pos]
-        for v in range(n):
-            table[pos] = v
-            if not _violated(table, n, triples):
-                descend(pos + 1)
-        table[pos] = -1
 
-    descend(start)
-    return count
+def _workers_used(n: int, workers: int) -> int:
+    """Processes a census of order n starts: at most one per first-row orbit."""
+    return max(1, min(workers, len(_row_tables(n).orbits)))
 
 
 def census_pruned(n: int, workers: int = 1, progress=None) -> int:
-    """Depth-first count with early pruning, split by first-row prefix."""
-    prefixes = list(itertools.product(range(n), repeat=n))
-    if workers <= 1:
-        total = 0
-        for i, prefix in enumerate(prefixes):
-            total += _count_subtree(n, prefix)
-            if progress:
-                progress(i + 1, len(prefixes), total)
-        return total
+    """Row-wise count with bitmask domains, one first row per orbit."""
+    orbits = _row_tables(n).orbits
+    workers = _workers_used(n, workers)
+    firsts = [first for first, _ in orbits]
+    if workers == 1:
+        return _weighted_sum(map(_count_first_row, itertools.repeat(n), firsts), orbits, progress)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        partials = pool.map(_count_subtree, itertools.repeat(n), prefixes)
-        total = 0
-        for i, part in enumerate(partials):
-            total += part
-            if progress:
-                progress(i + 1, len(prefixes), total)
+        partials = pool.map(_count_first_row, itertools.repeat(n), firsts)
+        return _weighted_sum(partials, orbits, progress)
+
+
+def _weighted_sum(partials, orbits, progress) -> int:
+    total = 0
+    for i, (part, (_, size)) in enumerate(zip(partials, orbits)):
+        total += part * size
+        if progress:
+            progress(i + 1, len(orbits), total)
     return total
 
 
@@ -158,7 +279,9 @@ def census(n: int, workers: int = 1, long_run: bool = False, progress=None) -> C
     if n not in (2, 3, 4):
         raise ValueError("census supports n in {2, 3, 4}")
     if n == 4 and not long_run:
-        raise ValueError("n=4 walks 4^16 tables; pass long_run=True to confirm")
+        raise ValueError("n=4 counts among 4^16 tables; pass long_run=True to confirm")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     start = time.monotonic()
     count = census_pruned(n, workers=workers, progress=progress)
     elapsed = time.monotonic() - start
@@ -168,9 +291,9 @@ def census(n: int, workers: int = 1, long_run: bool = False, progress=None) -> C
         antiassociative_count=count,
         literally_deranged_count=len(literally_deranged_tables(n)),
         elapsed=elapsed,
-        workers=workers,
+        workers=_workers_used(n, workers),
     )
 
 
 def stderr_progress(done: int, total: int, count: int):
-    print(f"census: {done}/{total} prefixes, {count} so far", file=sys.stderr)
+    print(f"census: {done}/{total} first-row orbits, {count} so far", file=sys.stderr)

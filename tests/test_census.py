@@ -1,8 +1,11 @@
 import itertools
+import random
 import types
 
 import pytest
 
+import termsep.census as census_module
+from census_reference import count_subtree
 from termsep.cayley import CayleyGroupoid, is_k_antiassociative
 from termsep.census import (
     census,
@@ -30,6 +33,101 @@ class TestSmallCounts:
     @pytest.mark.parametrize("workers", (1, 2, 4))
     def test_worker_count_is_irrelevant(self, workers):
         assert census_pruned(3, workers=workers) == 52
+
+
+class TestRowWiseCount:
+    """The row-wise count of one first row against the entry-wise reference."""
+
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_every_first_row_matches_reference(self, n):
+        for first in itertools.product(range(n), repeat=n):
+            assert census_module._count_first_row(n, first) == count_subtree(n, first), first
+
+    def test_seeded_first_rows_of_order_4_match_reference(self):
+        rng = random.Random(20141)
+        firsts = [tuple(rng.randrange(4) for _ in range(4)) for _ in range(12)]
+        # from the two orbits with the most completions, 9,535 and 8,809
+        for first in firsts + [(1, 1, 1, 1), (2, 2, 1, 1)]:
+            assert census_module._count_first_row(4, first) == count_subtree(4, first), first
+
+    @staticmethod
+    def conjugates(first):
+        """s o first o s^-1 for every permutation s of the labels fixing 0."""
+        n = len(first)
+        out = set()
+        for tail in itertools.permutations(range(1, n)):
+            s = (0,) + tail
+            inverse = {y: x for x, y in enumerate(s)}
+            out.add(tuple(s[first[inverse[x]]] for x in range(n)))
+        return out
+
+    @pytest.mark.parametrize("n,orbits", [(2, 4), (3, 15), (4, 52)])
+    def test_orbits_partition_the_first_rows(self, n, orbits):
+        listed = census_module._row_tables(n).orbits
+        assert len(listed) == orbits
+        assert sum(size for _, size in listed) == n**n
+        members = [self.conjugates(first) for first, _ in listed]
+        assert [len(m) for m in members] == [size for _, size in listed]
+        assert set().union(*members) == set(itertools.product(range(n), repeat=n))
+
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_orbit_members_have_one_count(self, n):
+        for first, _ in census_module._row_tables(n).orbits:
+            counts = {census_module._count_first_row(n, f) for f in self.conjugates(first)}
+            assert len(counts) == 1, first
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps inline."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestWorkers:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        monkeypatch.setattr(_RecordingPool, "started", [])
+        monkeypatch.setattr(census_module, "ProcessPoolExecutor", _RecordingPool)
+        return _RecordingPool.started
+
+    def test_never_more_processes_than_orbits(self, pools):
+        assert census_pruned(3, workers=5000) == 52
+        assert pools == [15]
+
+    def test_report_gives_processes_used(self, pools):
+        report = census(3, workers=5000)
+        assert report.antiassociative_count == 52
+        assert report.workers == 15
+        assert census(2, workers=3).workers == 3
+        assert pools == [15, 3]
+
+    def test_one_worker_starts_no_pool(self, pools):
+        assert census(3, workers=1).workers == 1
+        assert pools == []
+
+    @pytest.mark.parametrize("workers", (0, -1))
+    def test_fewer_than_one_worker_refused(self, pools, workers):
+        with pytest.raises(ValueError, match="workers"):
+            census(2, workers=workers)
+        assert pools == []
+
+    def test_progress_counts_orbits(self):
+        calls = []
+        census(3, progress=lambda done, total, count: calls.append((done, total, count)))
+        assert [c[:2] for c in calls] == [(i, 15) for i in range(1, 16)]
+        assert calls[-1][2] == 52
 
 
 class TestLiterallyDeranged:
@@ -68,6 +166,14 @@ class TestGuards:
     def test_out_of_range(self, n):
         with pytest.raises(ValueError):
             census(n)
+
+
+class TestOrderFour:
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_n4_count(self, workers):
+        report = census(4, workers=workers, long_run=True)
+        assert report.antiassociative_count == 421560
+        assert report.workers == workers
 
 
 @pytest.mark.long

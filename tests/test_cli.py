@@ -148,6 +148,12 @@ class TestCensus:
         assert result.exit_code == 0
         assert "n=2: 2 antiassociative of 16 tables" in result.output
 
+    @pytest.mark.parametrize("workers", ("0", "-3"))
+    def test_fewer_than_one_worker_refused(self, runner, workers):
+        result = runner.invoke(main, ["census", "-n", "3", "--workers", workers])
+        assert result.exit_code == 2
+        assert "workers" in json.loads(result.stderr)["error"]
+
 
 class TestDemo:
     def test_affine_example_matches_expectations(self, runner):
