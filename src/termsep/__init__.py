@@ -24,6 +24,7 @@ from termsep.cayley import (
     eval_cayley,
     deranged_groupoid,
     product_groupoid,
+    separations,
     separates_exhaustive,
     is_k_antiassociative,
 )

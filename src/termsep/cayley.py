@@ -1,8 +1,13 @@
 """Explicit finite groupoids as n-by-n operation tables.
 
-Brute-force separation checks enumerate assignments in lexicographic
-order over the canonical variable order (see terms.variables), so the
-first counterexample reported is reproducible.
+Brute force has one engine, separations: it checks many term pairs
+against one table in a single walk over the assignments, evaluating each
+distinct subterm once per block of assignments for all the pairs.  The
+walk enumerates assignments in lexicographic order over the canonical
+variable order (see terms.variables), so the first counterexample
+reported for a pair is reproducible.  separates_exhaustive is the
+one-pair case and is_k_antiassociative one call over all pairs of
+ordered terms.
 """
 
 from __future__ import annotations
@@ -13,13 +18,14 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from termsep.terms import Mul, Term, Var, var_key, variables
+from termsep.terms import Term, Var, var_key
 
 DEFAULT_EVAL_BUDGET = 2**26
-# assignments evaluated at once: int64 arrays of 64 KiB stay in one core's
-# own cache and below the size malloc maps fresh from the kernel, so the
-# check's time follows the core's speed, not page faults or a shared cache
-_CHUNK = 2**13
+# assignments evaluated at once: for orders up to 256 a block's values take
+# 32 KiB and their table indices 64 KiB, which stay in one core's own cache
+# and below the size malloc maps fresh from the kernel, so the check's time
+# follows the core's speed, not page faults or a shared cache
+_CHUNK = 2**15
 
 
 class BudgetExceededError(RuntimeError):
@@ -118,30 +124,154 @@ def product_groupoid(G: CayleyGroupoid, H: CayleyGroupoid) -> CayleyGroupoid:
 
 
 def _steps(terms: Sequence[Term]) -> tuple[list, list[int]]:
-    """Post-order evaluation steps of the terms and each term's last step.
+    """Distinct subterms of the terms in post-order, and each term's step.
 
     A step is a variable name or the pair of the earlier steps it
-    multiplies.  The walk keeps its own stack, so a deep term needs no
-    recursion.
+    multiplies.  Equal subterms share one step, and a subterm object
+    shared between terms is walked once.  The walk keeps its own stack,
+    so a deep term needs no recursion.
     """
     steps: list = []
-    roots = []
+    index: dict = {}  # step -> its position in steps
+    seen: dict[int, int] = {}  # id of a walked node -> its step
     for t in terms:
-        done: list[int] = []
         stack: list = [t]
         while stack:
-            node = stack.pop()
-            if node is None:  # both children of a product are done
-                right = done.pop()
-                steps.append((done.pop(), right))
-                done.append(len(steps) - 1)
-            elif isinstance(node, Var):
-                steps.append(node.name)
-                done.append(len(steps) - 1)
+            node = stack[-1]
+            if id(node) in seen:
+                stack.pop()
+                continue
+            if isinstance(node, Var):
+                step = node.name
             else:
-                stack += (None, node.right, node.left)
-        roots.append(done.pop())
-    return steps, roots
+                left, right = seen.get(id(node.left)), seen.get(id(node.right))
+                if left is None or right is None:
+                    stack += (node.right, node.left)
+                    continue
+                step = (left, right)
+            stack.pop()
+            pos = index.setdefault(step, len(steps))
+            if pos == len(steps):
+                steps.append(step)
+            seen[id(node)] = pos
+    return steps, [seen[id(t)] for t in terms]
+
+
+def _needed(steps: list, roots: Iterable[int]) -> list[bool]:
+    """Which steps the roots read, directly or through other steps."""
+    need = [False] * len(steps)
+    for root in roots:
+        need[root] = True
+    for i in range(len(steps) - 1, -1, -1):
+        if need[i] and not isinstance(steps[i], str):
+            need[steps[i][0]] = need[steps[i][1]] = True
+    return need
+
+
+def separations(
+    G: CayleyGroupoid,
+    pairs: Sequence[tuple[Term, Term]],
+    budget: int = DEFAULT_EVAL_BUDGET,
+) -> list[SeparationVerdict]:
+    """separates_exhaustive for each pair, from one walk over the assignments.
+
+    The walk runs over the variables of all the pairs.  The trailing
+    variables whose joint range fits in _CHUNK each get an axis of a
+    block; the leading ones are fixed per block.  Each distinct subterm
+    is evaluated once per block, over the axes of its own variables only,
+    for every pair that holds it; one that holds no variable fixed per
+    block is evaluated once per call.  A pair drops out at its first
+    counterexample, which names its own variables only.
+    """
+    if not pairs:
+        return []
+    steps, roots = _steps([term for pair in pairs for term in pair])
+    names = sorted((step for step in steps if isinstance(step, str)), key=var_key)
+    n = G.n
+    total = n ** len(names)
+    if total > budget:
+        raise BudgetExceededError(f"{total} assignments exceed budget {budget}")
+    inner = 1
+    while inner < len(names) and n ** (inner + 1) <= _CHUNK:
+        inner += 1
+    lead = len(names) - inner
+    # the last variable's range is cut into slices when n > _CHUNK
+    sliced = n > _CHUNK
+    varying = (1 << lead) - 1 | sliced << (len(names) - 1)
+    bit = {name: 1 << i for i, name in enumerate(names)}
+    masks: list[int] = []  # per step, a bit per variable it holds
+    for step in steps:
+        if isinstance(step, str):
+            masks.append(bit[step])
+        else:
+            masks.append(masks[step[0]] | masks[step[1]])
+    # values take the smallest unsigned type; a product's entry sits at
+    # left * n + right of the flat table, in a type that holds n * n
+    flat = np.asarray(G.table, dtype=np.min_scalar_type(max(n - 1, 0))).reshape(-1)
+    stride = np.min_scalar_type(max(n * n - 1, 0)).type(n)
+    env = {
+        name: np.arange(n, dtype=flat.dtype).reshape(
+            [n if j == i else 1 for j in range(inner)]
+        )
+        for i, name in enumerate(names[lead:])
+    }
+    values: list = [None] * len(steps)
+
+    def evaluate(plan):
+        for i in plan:
+            step = steps[i]
+            if isinstance(step, str):
+                values[i] = env[step]
+            else:
+                left, right = step
+                values[i] = np.take(flat, values[left] * stride + values[right])
+
+    def counterexample(pair, fixed, lo) -> Optional[SeparationVerdict]:
+        root_s, root_t = roots[2 * pair], roots[2 * pair + 1]
+        equal = values[root_s] == values[root_t]
+        if not equal.any():
+            return None
+        hit = np.unravel_index(int(np.argmax(equal)), np.shape(equal))
+        # axes a pair's values lack are its missing variables, set to 0
+        point = [*fixed, *[0] * (inner - len(hit)), *map(int, hit)]
+        point[-1] += lo
+        own = masks[root_s] | masks[root_t]
+        assignment = {name: v for name, v in zip(names, point) if own & bit[name]}
+        return SeparationVerdict(False, assignment)
+
+    def plan(active) -> list[int]:
+        need = _needed(steps, (roots[2 * p + e] for p in active for e in (0, 1)))
+        return [i for i in range(len(steps)) if need[i] and masks[i] & varying]
+
+    evaluate([i for i in range(len(steps)) if not masks[i] & varying])
+    verdicts: list[Optional[SeparationVerdict]] = [None] * len(pairs)
+    active = []
+    for pair in range(len(pairs)):
+        if (masks[roots[2 * pair]] | masks[roots[2 * pair + 1]]) & varying:
+            active.append(pair)
+        else:  # the same in every block
+            verdicts[pair] = counterexample(pair, [0] * lead, 0)
+    blocks = itertools.product(
+        itertools.product(range(n), repeat=lead), range(0, n, _CHUNK)
+    )
+    scalar = flat.dtype.type
+    steps_left = plan(active)
+    for fixed, lo in blocks:
+        if not active:
+            break
+        env.update(zip(names, map(scalar, fixed)))
+        if sliced:
+            env[names[-1]] = np.arange(lo, min(lo + _CHUNK, n), dtype=flat.dtype)
+        evaluate(steps_left)
+        undecided = []
+        for pair in active:
+            verdicts[pair] = counterexample(pair, fixed, lo)
+            if verdicts[pair] is None:
+                undecided.append(pair)
+        if len(undecided) < len(active):
+            active = undecided
+            steps_left = plan(active)
+    return [v if v is not None else SeparationVerdict(True) for v in verdicts]
 
 
 def separates_exhaustive(
@@ -150,49 +280,8 @@ def separates_exhaustive(
     t: Term,
     budget: int = DEFAULT_EVAL_BUDGET,
 ) -> SeparationVerdict:
-    """Check all assignments; counterexamples come lexicographic-first.
-
-    The trailing variables whose joint range fits in _CHUNK each get an
-    axis of a block; the leading ones are fixed per block.  A subterm is
-    evaluated over the axes of its own variables only and broadcast.
-    """
-    names = sorted(set(variables(s)) | set(variables(t)), key=var_key)
-    n = G.n
-    total = n ** len(names)
-    if total > budget:
-        raise BudgetExceededError(f"{total} assignments exceed budget {budget}")
-    inner = 1
-    while inner < len(names) and n ** (inner + 1) <= _CHUNK:
-        inner += 1
-    lead, trail = names[: len(names) - inner], names[len(names) - inner :]
-    env = {
-        name: np.arange(n).reshape([n if j == i else 1 for j in range(inner)])
-        for i, name in enumerate(trail[:-1])
-    }
-    flat = np.asarray(G.table, dtype=np.intp).reshape(-1)
-    steps, (root_s, root_t) = _steps((s, t))
-    for fixed in itertools.product(range(n), repeat=len(lead)):
-        env.update(zip(lead, fixed))
-        # the last variable's range is cut into slices when n > _CHUNK
-        for lo in range(0, n, _CHUNK):
-            env[trail[-1]] = np.arange(lo, min(lo + _CHUNK, n))
-            values = []
-            for step in steps:
-                if isinstance(step, str):
-                    values.append(env[step])
-                else:
-                    left, right = step
-                    values.append(flat[values[left] * n + values[right]])
-            # every variable occurs in s or t, so equal spans the whole block
-            equal = values[root_s] == values[root_t]
-            if equal.any():
-                hit = np.unravel_index(int(np.argmax(equal)), equal.shape)
-                assignment = dict(zip(lead, fixed))
-                for name, i in zip(trail, hit):
-                    assignment[name] = int(i)
-                assignment[trail[-1]] += lo
-                return SeparationVerdict(False, assignment)
-    return SeparationVerdict(True)
+    """Check all assignments; counterexamples come lexicographic-first."""
+    return separations(G, [(s, t)], budget=budget)[0]
 
 
 @dataclass(frozen=True)
@@ -211,8 +300,8 @@ def is_k_antiassociative(
 
     if k < 3:
         raise ValueError("antiassociativity needs k >= 3")
-    for s, t in itertools.combinations(enumerate_ordered_terms(k), 2):
-        verdict = separates_exhaustive(G, s, t, budget=budget)
+    pairs = list(itertools.combinations(enumerate_ordered_terms(k), 2))
+    for (s, t), verdict in zip(pairs, separations(G, pairs, budget=budget)):
         if not verdict.separated:
             return AntiassociativityReport(k, False, (s, t), verdict.counterexample)
     return AntiassociativityReport(k, True)

@@ -9,12 +9,14 @@ extended construction; a bounded stratified search is the fallback.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from termsep.terms import (
     Term,
+    catalan,
     enumerate_ordered_terms,
     is_proper_prefix,
     leftmost_disagreement,
@@ -35,7 +37,7 @@ from termsep.vecops import (
 )
 
 DEFAULT_SEARCH_BUDGET = 20000
-MAX_ANTIASSOC_PAIRS = 5000  # k=7 has 8,646 pairs
+MAX_ANTIASSOC_PAIRS = 10_000  # k=7 has 8,646 pairs, k=8 has 91,806
 
 
 def _flip(side: str) -> str:
@@ -318,18 +320,24 @@ def antiassociative_certificates(k: int) -> list[tuple[tuple[Term, Term], Certif
     """One cover certificate per pair of distinct ordered k-ary terms.
 
     The certificates' groupoids are the factors of a k-antiassociative
-    groupoid.  Raises ValueError for k < 3 or more than
-    MAX_ANTIASSOC_PAIRS pairs.
+    groupoid.  Pairs whose witnesses share q and w share one certificate
+    object.  Raises ValueError for k < 3 or more than MAX_ANTIASSOC_PAIRS
+    pairs, before any term is built.
     """
     if k < 3:
         raise ValueError("k must be at least 3")
-    terms = enumerate_ordered_terms(k)
-    pairs = list(itertools.combinations(terms, 2))
-    if len(pairs) > MAX_ANTIASSOC_PAIRS:
-        raise ValueError(f"{len(pairs)} pairs exceed budget {MAX_ANTIASSOC_PAIRS}")
-    return [
-        ((s, t), synth_cover(cover_witness_from_disagreement(s, t))) for s, t in pairs
-    ]
+    count = math.comb(catalan(k - 1), 2)
+    if count > MAX_ANTIASSOC_PAIRS:
+        raise ValueError(f"{count} pairs exceed budget {MAX_ANTIASSOC_PAIRS}")
+    shared: dict[tuple[str, str], Certificate] = {}
+    out = []
+    for s, t in itertools.combinations(enumerate_ordered_terms(k), 2):
+        witness = cover_witness_from_disagreement(s, t)
+        key = (witness.q, witness.w)  # all that synth_cover reads
+        if key not in shared:
+            shared[key] = synth_cover(witness)
+        out.append(((s, t), shared[key]))
+    return out
 
 
 def build_k_antiassociative(k: int):

@@ -2,10 +2,12 @@ import gc
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from termsep import cayley
 from termsep.cayley import (
+    AntiassociativityReport,
     BudgetExceededError,
     CayleyGroupoid,
     SeparationVerdict,
@@ -16,8 +18,11 @@ from termsep.cayley import (
     product_groupoid,
     restrict,
     separates_exhaustive,
+    separations,
 )
+from termsep.synth import antiassociative_certificates
 from termsep.terms import enumerate_ordered_terms, parse_term, var_key, variables
+from termsep.vecops import to_cayley
 
 Z2_LEFT = deranged_groupoid(2, [1, 0], "LEFT")       # x*y = (x+1) mod 2
 Z3_RIGHT = deranged_groupoid(3, [1, 2, 0], "RIGHT")  # x*y = (y+1) mod 3
@@ -228,6 +233,125 @@ class TestSeparatesExhaustive:
             SeparationVerdict(False, None)
 
 
+def _random_table(rng, n):
+    return CayleyGroupoid(
+        tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+    )
+
+
+class TestSeparations:
+    """The many-pair engine against plain per-assignment enumeration."""
+
+    @staticmethod
+    def _pairs(rng, k, count):
+        # ordered k-ary terms share their subterm objects; the parsed terms
+        # mix in other variable sets, so some pairs miss the leading variables
+        ordered = enumerate_ordered_terms(k)
+        extra = [parse_term(text) for text in ("x2*x3", "x3", "(x3*x3)*x2", "x1*x3")]
+        pairs = [tuple(rng.sample(ordered, 2)) for _ in range(count)]
+        pairs += [tuple(rng.sample(extra, 2)) for _ in range(count // 3)]
+        pairs.append((ordered[0], ordered[0]))
+        return pairs
+
+    @pytest.mark.parametrize("chunk", [3, 8, 2**15])
+    @pytest.mark.parametrize(
+        "n, k",
+        [(2, 3), (2, 6), (3, 4), (3, 5), (4, 3), (4, 5), (4, 6), (8, 3), (8, 4)],
+    )
+    def test_matches_plain_enumeration(self, monkeypatch, n, k, chunk):
+        # a chunk of 3 slices the last variable's range of orders 4 and 8,
+        # a chunk of 8 fixes leading variables per block, the default holds
+        # all variables of most of these in one block
+        monkeypatch.setattr(cayley, "_CHUNK", chunk)
+        rng = random.Random(f"{n} {k} {chunk}")
+        tables = [_random_table(rng, n) for _ in range(3)]
+        tables.append(product_groupoid(Z2_LEFT, Z3_RIGHT) if n > 4 else Z2_LEFT)
+        outcomes = set()
+        for G in tables:
+            pairs = self._pairs(rng, k, 9)
+            plain = [_plain_first_counterexample(G, s, t) for s, t in pairs]
+            many = separations(G, pairs)
+            assert [v.counterexample for v in many] == plain
+            assert [v.separated for v in many] == [first is None for first in plain]
+            assert many == [separates_exhaustive(G, s, t) for s, t in pairs]
+            outcomes |= {v.separated for v in many}
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_factor_tables_separate_their_pairs(self, k):
+        by_factor = {}
+        for pair, cert in antiassociative_certificates(k):
+            if cert.groupoid.order**k <= 4096:
+                by_factor.setdefault(cert.groupoid, []).append(pair)
+        assert by_factor
+        for groupoid, pairs in by_factor.items():
+            G = to_cayley(groupoid)
+            for verdict, (s, t) in zip(separations(G, pairs), pairs):
+                assert verdict.separated
+            s, t = pairs[0]
+            assert _plain_first_counterexample(G, s, t) is None
+
+    def test_hoisted_nodes_are_evaluated_once_per_call(self, monkeypatch):
+        # order 2 with a chunk of 2 fixes x1 and x2 per block: 4 blocks.
+        # x3*x3 and (x3*x3)*x3 hold neither and are taken once per call;
+        # x1*x3, x1*x2 and (x1*x2)*x3 once per block
+        monkeypatch.setattr(cayley, "_CHUNK", 2)
+        taken = []
+        take = np.take
+        monkeypatch.setattr(
+            cayley.np, "take", lambda *a, **kw: taken.append(1) or take(*a, **kw)
+        )
+        pairs = [
+            (parse_term("x1*x3"), parse_term("(x1*x2)*x3")),
+            (parse_term("x3*x3"), parse_term("(x3*x3)*x3")),
+        ]
+        # x*y = x+1 (mod 2): each side is its leftmost variable plus its depth
+        verdicts = separations(Z2_LEFT, pairs)
+        assert all(v.separated for v in verdicts)
+        assert len(taken) == 2 + 3 * 4
+
+    @pytest.mark.parametrize("chunk", [3, 20])
+    def test_blocks_stay_within_the_chunk(self, monkeypatch, chunk):
+        # a chunk of 3 slices x4's range of order 8; one of 20 fixes x1..x3
+        monkeypatch.setattr(cayley, "_CHUNK", chunk)
+        sizes = []
+        take = np.take
+        monkeypatch.setattr(
+            cayley.np, "take", lambda a, i: sizes.append(np.size(i)) or take(a, i)
+        )
+        G = _random_table(random.Random(chunk), 8)
+        separations(G, list(itertools.combinations(enumerate_ordered_terms(4), 2)))
+        assert sizes and max(sizes) <= chunk
+
+    def test_decided_pairs_drop_out(self, monkeypatch):
+        # x*y = x+1 (mod 2): the first pair fails at x1 = x2 = 0, in the
+        # first block; the three blocks left need only the second pair's
+        # x1*x2, x1*x3 and (x1*x2)*x3, not x2*x1
+        monkeypatch.setattr(cayley, "_CHUNK", 2)
+        taken = []
+        take = np.take
+        monkeypatch.setattr(
+            cayley.np, "take", lambda *a, **kw: taken.append(1) or take(*a, **kw)
+        )
+        pairs = [
+            (parse_term("x1*x2"), parse_term("x2*x1")),
+            (parse_term("x1*x3"), parse_term("(x1*x2)*x3")),
+        ]
+        verdicts = separations(Z2_LEFT, pairs)
+        assert verdicts[0] == SeparationVerdict(False, {"x1": 0, "x2": 0})
+        assert verdicts[1].separated
+        assert len(taken) == 4 + 3 * 3
+
+    def test_no_pairs(self):
+        assert separations(Z3_RIGHT, []) == []
+
+    def test_budget_counts_the_union_of_variables(self):
+        pairs = [(parse_term("x*y"), parse_term("y")), (parse_term("z"), parse_term("z*z"))]
+        with pytest.raises(BudgetExceededError):
+            separations(Z3_RIGHT, pairs, budget=26)
+        assert len(separations(Z3_RIGHT, pairs, budget=27)) == 2
+
+
 class TestAntiassociativity:
     def test_z2_fails_at_4(self):
         report = is_k_antiassociative(Z2_LEFT, 4)
@@ -246,6 +370,22 @@ class TestAntiassociativity:
     def test_k_below_3_rejected(self):
         with pytest.raises(ValueError):
             is_k_antiassociative(Z2_LEFT, 2)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_first_failing_pair_as_checked_pair_by_pair(self, k):
+        rng = random.Random(k)
+        pairs = list(itertools.combinations(enumerate_ordered_terms(k), 2))
+        for n in (2, 3, 3, 4):
+            G = _random_table(rng, n)
+            want = AntiassociativityReport(k, True)
+            for s, t in pairs:
+                verdict = separates_exhaustive(G, s, t)
+                if not verdict.separated:
+                    want = AntiassociativityReport(
+                        k, False, (s, t), verdict.counterexample
+                    )
+                    break
+            assert is_k_antiassociative(G, k) == want
 
 
 class TestSubgroupoids:

@@ -119,10 +119,31 @@ class TestAntiassoc:
         assert len(widths) == doc["factors"] == 91
         assert doc["width"] == sum(widths)
 
-    def test_k7_refused(self, runner):
-        result = runner.invoke(main, ["antiassoc", "build", "-k", "7"])
+    def test_k8_refused(self, runner):
+        result = runner.invoke(main, ["antiassoc", "build", "-k", "8"])
         assert result.exit_code == 2
         assert "pairs exceed budget" in json.loads(result.stderr)["error"]
+
+    def test_verify_text_counts_brute_force(self, runner):
+        args = ["antiassoc", "verify", "-k", "5", "--budget-evals", "1024"]
+        result = runner.invoke(main, args + ["--format", "text"])
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        doc = run_json(runner, *args)
+        brute = [e for e in doc["certificates"] if "exhaustive_ok" in e]
+        tables = {json.dumps(e["certificate"]["groupoid"]) for e in brute}
+        assert lines[2] == (
+            f"brute-forced {len(brute)} pairs over {len(tables)} tables; "
+            f"{91 - len(brute)} pairs over budget"
+        )
+        assert 0 < len(brute) < 91
+
+    @pytest.mark.long
+    def test_verify_k7(self, runner):
+        doc = run_json(runner, "antiassoc", "verify", "-k", "7")
+        assert doc["factors"] == 8646
+        assert doc["all_ok"] is True
+        assert sum("exhaustive_ok" in e for e in doc["certificates"]) > 0
 
     def test_k2_rejected(self, runner):
         result = runner.invoke(main, ["antiassoc", "build", "-k", "2"])

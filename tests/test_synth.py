@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from termsep import synth
 from termsep.cayley import is_k_antiassociative, separates_exhaustive
 from termsep.synth import (
     CoverWitness,
@@ -205,11 +206,27 @@ class TestBuildKAntiassociative:
             assert affine_separation_decision(cert.groupoid, s, t).separated
 
     def test_pair_budget(self):
-        assert len(antiassociative_certificates(6)) <= MAX_ANTIASSOC_PAIRS
+        assert len(antiassociative_certificates(7)) == 8646 <= MAX_ANTIASSOC_PAIRS
         with pytest.raises(ValueError, match="budget"):
-            antiassociative_certificates(7)
+            antiassociative_certificates(8)
         with pytest.raises(ValueError, match="budget"):
-            build_k_antiassociative(8)
+            build_k_antiassociative(9)
+
+    @pytest.mark.parametrize("k", range(8, 17))
+    def test_refused_before_enumerating(self, monkeypatch, k):
+        # k=11 alone would list about 141 M pairs
+        def refuse(k):
+            raise AssertionError("terms enumerated before the budget check")
+
+        monkeypatch.setattr(synth, "enumerate_ordered_terms", refuse)
+        with pytest.raises(ValueError, match="pairs exceed budget"):
+            antiassociative_certificates(k)
+
+    def test_equal_witnesses_share_one_certificate(self):
+        certs = antiassociative_certificates(6)
+        for (s, t), cert in certs:
+            assert cert == synth_cover(cover_witness_from_disagreement(s, t))
+        assert len({id(cert) for _, cert in certs}) == len({cert for _, cert in certs}) == 42
 
     def test_groupoid_is_the_sum_of_the_certificates(self):
         G, certs = build_k_antiassociative(4)
