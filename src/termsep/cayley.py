@@ -157,17 +157,6 @@ def _steps(terms: Sequence[Term]) -> tuple[list, list[int]]:
     return steps, [seen[id(t)] for t in terms]
 
 
-def _needed(steps: list, roots: Iterable[int]) -> list[bool]:
-    """Which steps the roots read, directly or through other steps."""
-    need = [False] * len(steps)
-    for root in roots:
-        need[root] = True
-    for i in range(len(steps) - 1, -1, -1):
-        if need[i] and not isinstance(steps[i], str):
-            need[steps[i][0]] = need[steps[i][1]] = True
-    return need
-
-
 def separations(
     G: CayleyGroupoid,
     pairs: Sequence[tuple[Term, Term]],
@@ -180,8 +169,9 @@ def separations(
     block; the leading ones are fixed per block.  Each distinct subterm
     is evaluated once per block, over the axes of its own variables only,
     for every pair that holds it; one that holds no variable fixed per
-    block is evaluated once per call.  A pair drops out at its first
-    counterexample, which names its own variables only.
+    block is evaluated once per call.  A pair is no longer checked after
+    its first counterexample, which names its own variables only, and
+    the walk stops once every pair has one.
     """
     if not pairs:
         return []
@@ -206,9 +196,10 @@ def separations(
         else:
             masks.append(masks[step[0]] | masks[step[1]])
     # values take the smallest unsigned type; a product's entry sits at
-    # left * n + right of the flat table, in a type that holds n * n
+    # left * n + right of the flat table, computed in idx, a type that
+    # holds n * n, whatever the promotion rules of the numpy in use
     flat = np.asarray(G.table, dtype=np.min_scalar_type(max(n - 1, 0))).reshape(-1)
-    stride = np.min_scalar_type(max(n * n - 1, 0)).type(n)
+    idx = np.min_scalar_type(max(n * n - 1, 0))
     env = {
         name: np.arange(n, dtype=flat.dtype).reshape(
             [n if j == i else 1 for j in range(inner)]
@@ -224,7 +215,8 @@ def separations(
                 values[i] = env[step]
             else:
                 left, right = step
-                values[i] = np.take(flat, values[left] * stride + values[right])
+                index = np.multiply(values[left], n, dtype=idx)
+                values[i] = np.take(flat, np.add(index, values[right], dtype=idx))
 
     def counterexample(pair, fixed, lo) -> Optional[SeparationVerdict]:
         root_s, root_t = roots[2 * pair], roots[2 * pair + 1]
@@ -239,10 +231,6 @@ def separations(
         assignment = {name: v for name, v in zip(names, point) if own & bit[name]}
         return SeparationVerdict(False, assignment)
 
-    def plan(active) -> list[int]:
-        need = _needed(steps, (roots[2 * p + e] for p in active for e in (0, 1)))
-        return [i for i in range(len(steps)) if need[i] and masks[i] & varying]
-
     evaluate([i for i in range(len(steps)) if not masks[i] & varying])
     verdicts: list[Optional[SeparationVerdict]] = [None] * len(pairs)
     active = []
@@ -255,22 +243,20 @@ def separations(
         itertools.product(range(n), repeat=lead), range(0, n, _CHUNK)
     )
     scalar = flat.dtype.type
-    steps_left = plan(active)
+    per_block = [i for i in range(len(steps)) if masks[i] & varying]
     for fixed, lo in blocks:
         if not active:
             break
         env.update(zip(names, map(scalar, fixed)))
         if sliced:
             env[names[-1]] = np.arange(lo, min(lo + _CHUNK, n), dtype=flat.dtype)
-        evaluate(steps_left)
+        evaluate(per_block)
         undecided = []
         for pair in active:
             verdicts[pair] = counterexample(pair, fixed, lo)
             if verdicts[pair] is None:
                 undecided.append(pair)
-        if len(undecided) < len(active):
-            active = undecided
-            steps_left = plan(active)
+        active = undecided
     return [v if v is not None else SeparationVerdict(True) for v in verdicts]
 
 

@@ -18,7 +18,6 @@ from termsep import synth, verify
 from termsep.cayley import (
     BudgetExceededError,
     deranged_groupoid,
-    is_k_antiassociative,
     product_groupoid,
     separations,
 )
@@ -262,14 +261,13 @@ def _demo_deranged_product():
     left = deranged_groupoid(2, [1, 0], "LEFT")
     right = deranged_groupoid(3, [1, 2, 0], "RIGHT")
     product = product_groupoid(left, right)
-    report = is_k_antiassociative(product, 4)
     import itertools as it
     pairs = list(it.combinations(enumerate_ordered_terms(4), 2))
     pair_results = {
         f"{render_term(a)} | {render_term(b)}": verdict.separated
         for (a, b), verdict in zip(pairs, separations(product, pairs))
     }
-    return {"four_antiassociative": report.antiassociative, "pairs": pair_results}
+    return {"four_antiassociative": all(pair_results.values()), "pairs": pair_results}
 
 
 def _demo_cycle_example():

@@ -21,7 +21,7 @@ from termsep.cayley import (
     separations,
 )
 from termsep.synth import antiassociative_certificates
-from termsep.terms import enumerate_ordered_terms, parse_term, var_key, variables
+from termsep.terms import Var, enumerate_ordered_terms, parse_term, var_key, variables
 from termsep.vecops import to_cayley
 
 Z2_LEFT = deranged_groupoid(2, [1, 0], "LEFT")       # x*y = (x+1) mod 2
@@ -110,6 +110,31 @@ def _plain_first_counterexample(G, s, t):
         env = dict(zip(names, vals))
         if eval_cayley(G, s, env) == eval_cayley(G, t, env):
             return env
+    return None
+
+
+def _numpy_first_counterexample(G, s, t):
+    """The lexicographic-first counterexample, one slice per value of the
+    first variable, with terms evaluated by 2-D indexing of the table."""
+    table = np.array(G.table, dtype=np.int64)
+    first, *rest = sorted(set(variables(s)) | set(variables(t)), key=var_key)
+    shape = [G.n] * len(rest)
+    grids = {
+        name: np.arange(G.n).reshape([G.n if j == i else 1 for j in range(len(rest))])
+        for i, name in enumerate(rest)
+    }
+
+    def value(term, env):
+        if isinstance(term, Var):
+            return env[term.name]
+        return table[value(term.left, env), value(term.right, env)]
+
+    for v in range(G.n):
+        env = {first: v, **grids}
+        equal = np.broadcast_to(value(s, env) == value(t, env), shape)
+        if equal.any():
+            hit = np.unravel_index(int(np.argmax(equal)), shape)
+            return {first: v, **dict(zip(rest, map(int, hit)))}
     return None
 
 
@@ -323,24 +348,57 @@ class TestSeparations:
         separations(G, list(itertools.combinations(enumerate_ordered_terms(4), 2)))
         assert sizes and max(sizes) <= chunk
 
-    def test_decided_pairs_drop_out(self, monkeypatch):
+    def test_decided_pairs_keep_their_first_counterexample(self, monkeypatch):
         # x*y = x+1 (mod 2): the first pair fails at x1 = x2 = 0, in the
-        # first block; the three blocks left need only the second pair's
-        # x1*x2, x1*x3 and (x1*x2)*x3, not x2*x1
+        # first of 4 blocks, and the other two are walked to the end
         monkeypatch.setattr(cayley, "_CHUNK", 2)
-        taken = []
-        take = np.take
-        monkeypatch.setattr(
-            cayley.np, "take", lambda *a, **kw: taken.append(1) or take(*a, **kw)
-        )
         pairs = [
             (parse_term("x1*x2"), parse_term("x2*x1")),
             (parse_term("x1*x3"), parse_term("(x1*x2)*x3")),
+            (parse_term("x2*x3"), parse_term("x1*x3")),
         ]
-        verdicts = separations(Z2_LEFT, pairs)
-        assert verdicts[0] == SeparationVerdict(False, {"x1": 0, "x2": 0})
-        assert verdicts[1].separated
-        assert len(taken) == 4 + 3 * 3
+        assert separations(Z2_LEFT, pairs) == [
+            SeparationVerdict(False, {"x1": 0, "x2": 0}),
+            SeparationVerdict(True),
+            SeparationVerdict(False, {"x1": 0, "x2": 0, "x3": 0}),
+        ]
+
+    @pytest.mark.parametrize("n, chunk", [(20, 2**15), (20, 8), (300, 2**17)])
+    def test_wide_orders_match_a_two_dimensional_evaluator(self, monkeypatch, n, chunk):
+        # order 20 has byte values and two-byte table indices; order 300
+        # two-byte values and four-byte indices.  A chunk of 8 slices
+        # x3's range of order 20; 2**17 holds x2 and x3 of order 300 in a
+        # block, so the separated pair takes 300 blocks
+        monkeypatch.setattr(cayley, "_CHUNK", chunk)
+        rng = random.Random(n)
+        m = n // {20: 4, 300: 12}[n]
+        f = [(i + 1) % (n // m) for i in range(n // m)]
+        tables = [
+            _random_table(rng, n),
+            # the left-deranged factor tells the ordered terms apart
+            product_groupoid(deranged_groupoid(n // m, f, "LEFT"), _random_table(rng, m)),
+        ]
+        pairs = [tuple(enumerate_ordered_terms(3))] + [
+            (parse_term(s), parse_term(t))
+            for s, t in [
+                ("x1*(x2*x3)", "x3*(x1*x2)"),
+                ("(x2*x1)*x3", "x1*x3"),
+                ("x1*x2", "x2*x1"),
+                ("x3*x3", "x2*(x3*x1)"),
+            ]
+        ]
+        outcomes = set()
+        for G in tables:
+            want = [_numpy_first_counterexample(G, s, t) for s, t in pairs]
+            if n == 20:
+                assert want == [_plain_first_counterexample(G, s, t) for s, t in pairs]
+            verdicts = separations(G, pairs)
+            assert [v.counterexample for v in verdicts] == want
+            assert [v.separated for v in verdicts] == [first is None for first in want]
+            outcomes |= {v.separated for v in verdicts}
+            # some first hit needs a value past one byte
+            assert any(max(first.values()) > 255 for first in want if first) == (n > 256)
+        assert outcomes == {True, False}
 
     def test_no_pairs(self):
         assert separations(Z3_RIGHT, []) == []
