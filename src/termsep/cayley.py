@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from termsep.terms import Term, Var, var_key
+from termsep.terms import Term, Var, fold, var_key
 
 DEFAULT_EVAL_BUDGET = 2**26
 # assignments evaluated at once: for orders up to 256 a block's values take
@@ -128,33 +128,19 @@ def _steps(terms: Sequence[Term]) -> tuple[list, list[int]]:
 
     A step is a variable name or the pair of the earlier steps it
     multiplies.  Equal subterms share one step, and a subterm object
-    shared between terms is walked once.  The walk keeps its own stack,
-    so a deep term needs no recursion.
+    shared between terms is walked once.
     """
     steps: list = []
     index: dict = {}  # step -> its position in steps
-    seen: dict[int, int] = {}  # id of a walked node -> its step
-    for t in terms:
-        stack: list = [t]
-        while stack:
-            node = stack[-1]
-            if id(node) in seen:
-                stack.pop()
-                continue
-            if isinstance(node, Var):
-                step = node.name
-            else:
-                left, right = seen.get(id(node.left)), seen.get(id(node.right))
-                if left is None or right is None:
-                    stack += (node.right, node.left)
-                    continue
-                step = (left, right)
-            stack.pop()
-            pos = index.setdefault(step, len(steps))
-            if pos == len(steps):
-                steps.append(step)
-            seen[id(node)] = pos
-    return steps, [seen[id(t)] for t in terms]
+
+    def intern(step) -> int:
+        pos = index.setdefault(step, len(steps))
+        if pos == len(steps):
+            steps.append(step)
+        return pos
+
+    roots = fold(terms, lambda v: intern(v.name), lambda m, left, right: intern((left, right)))
+    return steps, roots
 
 
 def separations(

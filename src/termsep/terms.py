@@ -1,4 +1,4 @@
-"""Groupoid term trees: parsing, paths, shapes, and ordered-term enumeration.
+"""Groupoid term trees: parsing, paths, folds, and ordered-term enumeration.
 
 A term is a full binary tree with variable names at the leaves.  Nodes are
 addressed by paths, strings over 'l'/'r' with the empty string for the root
@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Sequence
 
 SENTINEL = "χ"  # the shape placeholder variable, ASCII alias "chi"
 
@@ -104,15 +105,49 @@ def subterm_at(t: Term, path: str) -> Term:
     return node
 
 
+def fold(roots: Sequence[Term], leaf: Callable, node: Callable) -> list:
+    """Fold each root to one value, from leaf(v) at a Var and node(m, left,
+    right) at a Mul, given the values of its factors.
+
+    The walk is post-order, left factor first, on its own stack, so a deep
+    term needs no recursion.  Values are kept by node id across all the
+    roots, so a node object reached again is computed once.
+    """
+    done: dict[int, object] = {}
+    for root in roots:
+        stack = [root]
+        while stack:
+            t = stack.pop()
+            key = id(t)
+            if key in done:
+                continue
+            if isinstance(t, Var):
+                done[key] = leaf(t)
+            elif id(t.left) in done and id(t.right) in done:
+                done[key] = node(t, done[id(t.left)], done[id(t.right)])
+            else:  # visit the factors, left first, then t again
+                stack += (t, t.right, t.left)
+    return [done[id(root)] for root in roots]
+
+
+def _rebuilt(m: Mul, left: Term, right: Term) -> Term:
+    return m if left is m.left and right is m.right else Mul(left, right)
+
+
+def replace_leaves(roots: Sequence[Term], leaf: Callable[[Var], Term]) -> list[Term]:
+    """The roots with every leaf v replaced by leaf(v).
+
+    A node whose factors both come back unchanged is returned as it is, and
+    a node shared by the roots is rebuilt once, so shared subterms stay
+    shared and == between results stops at identical objects.
+    """
+    return fold(roots, leaf, _rebuilt)
+
+
 def shape_of(t: Term) -> Term:
     """Same tree with every leaf replaced by the sentinel variable."""
-    if isinstance(t, Var):
-        return Var(SENTINEL)
-    return Mul(shape_of(t.left), shape_of(t.right))
-
-
-def is_prefix(q: str, p: str) -> bool:
-    return p.startswith(q)
+    chi = Var(SENTINEL)
+    return replace_leaves([t], lambda v: chi)[0]
 
 
 def is_proper_prefix(q: str, p: str) -> bool:
@@ -194,21 +229,6 @@ def render_term(t: Term) -> str:
             stack += (")", item.right, "*", item.left, "(")
     text = "".join(out)
     return text[1:-1] if isinstance(t, Mul) else text
-
-
-def term_to_json(t: Term):
-    """Nested two-element lists with variable names at the leaves."""
-    if isinstance(t, Var):
-        return t.name
-    return [term_to_json(t.left), term_to_json(t.right)]
-
-
-def term_from_json(obj) -> Term:
-    if isinstance(obj, str):
-        return Var(obj)
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return Mul(term_from_json(obj[0]), term_from_json(obj[1]))
-    raise ValueError(f"not a term encoding: {obj!r}")
 
 
 # --- ordered terms ---------------------------------------------------------

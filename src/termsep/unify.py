@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from termsep.terms import Mul, Term, Var, occurrences, render_term, var_key
+from termsep.terms import Mul, Term, Var, fold, render_term, replace_leaves, variables
 
 
 @dataclass(frozen=True)
@@ -61,24 +61,16 @@ class UnifyOutcome:
 
 
 def occurs_in(name: str, t: Term) -> bool:
-    if isinstance(t, Var):
-        return t.name == name
-    return occurs_in(name, t.left) or occurs_in(name, t.right)
+    return fold([t], lambda v: v.name == name, lambda m, left, right: left or right)[0]
 
 
 def substitute(t: Term, name: str, replacement: Term) -> Term:
-    if isinstance(t, Var):
-        return replacement if t.name == name else t
-    return Mul(
-        substitute(t.left, name, replacement), substitute(t.right, name, replacement)
-    )
+    return replace_leaves([t], lambda v: replacement if v.name == name else v)[0]
 
 
 def apply_subst(subst: dict[str, Term], t: Term) -> Term:
     """Apply bindings simultaneously; bindings are fully normalized."""
-    if isinstance(t, Var):
-        return subst.get(t.name, t)
-    return Mul(apply_subst(subst, t.left), apply_subst(subst, t.right))
+    return replace_leaves([t], lambda v: subst.get(v.name, v))[0]
 
 
 def unify(s: Term, t: Term) -> UnifyOutcome:
@@ -87,13 +79,14 @@ def unify(s: Term, t: Term) -> UnifyOutcome:
     trace: list[TraceStep] = []
 
     def substitute_everywhere(name: str, replacement: Term):
-        for i, st in enumerate(worklist):
-            worklist[i] = Statement(
-                substitute(st.lhs, name, replacement),
-                substitute(st.rhs, name, replacement),
-            )
-        for key in list(solved):
-            solved[key] = substitute(solved[key], name, replacement)
+        # one walk over every open statement and binding, sharing subterms
+        roots = [term for st in worklist for term in (st.lhs, st.rhs)]
+        out = replace_leaves(
+            roots + list(solved.values()),
+            lambda v: replacement if v.name == name else v,
+        )
+        worklist[:] = map(Statement, out[: len(roots) : 2], out[1 : len(roots) : 2])
+        solved.update(zip(solved, out[len(roots) :]))
 
     while worklist:
         st = worklist.pop(0)
@@ -126,21 +119,12 @@ def unify(s: Term, t: Term) -> UnifyOutcome:
         solved[name] = rhs
         continue
 
-    # normalize the triangular bindings into fully-applied form
-    result = {name: t for name, t in solved.items()}
-    changed = True
-    while changed:
-        changed = False
-        for name in result:
-            applied = apply_subst(result, result[name])
-            if applied != result[name]:
-                result[name] = applied
-                changed = True
-    unified_s = apply_subst(result, s)
-    unified_t = apply_subst(result, t)
+    # each Eliminate and Coalesce rewrote the earlier bindings, so they are
+    # already fully applied
+    unified_s, unified_t = replace_leaves([s, t], lambda v: solved.get(v.name, v))
     if unified_s != unified_t:
         raise AssertionError("unifier failed its own soundness check")
-    return UnifyOutcome(result, tuple(trace))
+    return UnifyOutcome(solved, tuple(trace))
 
 
 @dataclass(frozen=True)
@@ -152,9 +136,8 @@ class AbstractSeparability:
 
 
 def collapse_to_one_variable(t: Term) -> Term:
-    if isinstance(t, Var):
-        return Var("x")
-    return Mul(collapse_to_one_variable(t.left), collapse_to_one_variable(t.right))
+    x = Var("x")
+    return replace_leaves([t], lambda v: x)[0]
 
 
 def decide_abstract_separability(s: Term, t: Term) -> AbstractSeparability:
@@ -162,12 +145,9 @@ def decide_abstract_separability(s: Term, t: Term) -> AbstractSeparability:
     outcome = unify(s, t)
     if not outcome.unifiable:
         return AbstractSeparability(True)
-    names = sorted(
-        {name for _, name in occurrences(s)} | {name for _, name in occurrences(t)},
-        key=var_key,
-    )
-    witness = {}
-    for name in names:
-        bound = outcome.substitution.get(name, Var(name))
-        witness[name] = collapse_to_one_variable(bound)
-    return AbstractSeparability(False, witness)
+    names = variables(Mul(s, t))
+    bound = [outcome.substitution.get(name, Var(name)) for name in names]
+    # one fold over all the bindings: a subterm they share is collapsed once
+    x = Var("x")
+    witness = replace_leaves(bound, lambda v: x)
+    return AbstractSeparability(False, dict(zip(names, witness)))

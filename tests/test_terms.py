@@ -12,15 +12,15 @@ from termsep.terms import (
     Var,
     catalan,
     enumerate_ordered_terms,
+    fold,
     is_proper_prefix,
     leftmost_disagreement,
     occurrences,
     parse_term,
     render_term,
+    replace_leaves,
     shape_of,
     subterm_at,
-    term_from_json,
-    term_to_json,
 )
 
 SENTINEL = "χ"
@@ -76,9 +76,34 @@ class TestParsing:
     def test_round_trip(self, t):
         assert parse_term(render_term(t)) == t
 
-    @given(terms_strategy())
-    def test_json_round_trip(self, t):
-        assert term_from_json(term_to_json(t)) == t
+
+class TestFold:
+    def test_post_order_left_first_once_per_object(self):
+        shared = parse_term("x*y")
+        roots = [Mul(shared, Var("z")), Mul(Var("w"), shared)]
+        seen = []
+
+        def leaf(v):
+            seen.append(v.name)
+            return v.name
+
+        def node(m, left, right):
+            seen.append("*")
+            return f"({left}{right})"
+
+        assert fold(roots, leaf, node) == ["((xy)z)", "(w(xy))"]
+        assert seen == ["x", "y", "*", "z", "*", "w", "*"]
+
+    def test_replace_leaves_keeps_what_it_does_not_change(self):
+        shared = parse_term("x*y")
+        roots = [Mul(shared, parse_term("z*z")), Mul(Var("w"), shared)]
+        assert replace_leaves(roots, lambda v: v) == roots
+        assert all(a is b for a, b in zip(replace_leaves(roots, lambda v: v), roots))
+        u = Var("u")
+        out = replace_leaves(roots, lambda v: u if v.name == "x" else v)
+        assert [render_term(t) for t in out] == ["(u*y)*(z*z)", "w*(u*y)"]
+        assert out[0].left is out[1].right
+        assert out[0].right is roots[0].right
 
 
 class TestOccurrences:

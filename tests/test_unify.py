@@ -1,11 +1,15 @@
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import random_term
+from termsep.cayley import deranged_groupoid, separations
 from termsep.synth import decide_finite_separability
-from termsep.terms import Mul, Var, parse_term, render_term, shape_of, variables
+from termsep.terms import Mul, Var, fold, parse_term, render_term, shape_of, variables
 from termsep.unify import (
     apply_subst,
     collapse_to_one_variable,
@@ -202,3 +206,68 @@ class TestConsistencyWithSynthesis:
         t = collapse_to_one_variable(s)
         if shape_of(s) == shape_of(t):
             assert not decide_abstract_separability(s, t).separable
+
+
+class TestBindings:
+    def test_bindings_come_back_fully_applied(self):
+        rng = random.Random(11)
+        unifiable = 0
+        for _ in range(3000):
+            s = random_term(rng, rng.randint(1, 8), "xyzuvw")
+            t = random_term(rng, rng.randint(1, 8), "xyzuvw")
+            out = unify(s, t)
+            if not out.unifiable:
+                continue
+            unifiable += 1
+            bound = set(out.substitution)
+            for b in out.substitution.values():
+                assert not bound & set(variables(b))
+                assert apply_subst(out.substitution, b) == b
+            assert apply_subst(out.substitution, s) == apply_subst(out.substitution, t)
+        assert unifiable > 300
+
+
+def chain_pair(n):
+    """a1*(a2*(...*(an*y))) against (a0*a0)*((a1*a1)*(...*z)): a_i is bound
+    to a term of 2**i leaves."""
+    a = [Var(f"a{i}") for i in range(n + 1)]
+    s, t = Var("y"), Var("z")
+    for i in range(n, 0, -1):
+        s = Mul(a[i], s)
+    for i in range(n - 1, -1, -1):
+        t = Mul(Mul(a[i], a[i]), t)
+    return s, t
+
+
+def names_in(t):
+    # a fold visits each shared node once, where variables() walks the tree
+    return fold([t], lambda v: frozenset([v.name]), lambda m, left, right: left | right)[0]
+
+
+class TestSharedSubterms:
+    def test_long_binding_chain(self):
+        s, t = chain_pair(40)
+        start = time.perf_counter()
+        result = decide_finite_separability(s, t)
+        assert time.perf_counter() - start < 1.0
+        assert result.verdict == "not_separable"
+        witness = result.unifier.witness
+        merged_s, merged_t = apply_subst(witness, s), apply_subst(witness, t)
+        assert merged_s == merged_t
+        assert names_in(merged_s) == {"x"}
+        # the bindings have 2**40 leaves, so they must share their subterms
+        assert names_in(witness["a40"]) == {"x"}
+
+    def test_deep_comb_needs_no_recursion(self):
+        comb = Var("x")
+        for _ in range(5000):
+            comb = Mul(comb, Var("y"))
+        spine = "(" * 4999 + "z" + "*y)" * 4999 + "*y"
+        assert render_term(apply_subst({"x": Var("z")}, comb)) == spine
+        assert render_term(substitute(comb, "x", Var("z"))) == spine
+        assert occurs_in("x", comb) and not occurs_in("z", comb)
+        assert names_in(collapse_to_one_variable(comb)) == {"x"}
+        assert render_term(shape_of(comb)).count("χ") == 5001
+        # x*y = x+1 (mod 2): the comb is x + 5000 = x
+        G = deranged_groupoid(2, [1, 0], "LEFT")
+        assert not separations(G, [(comb, Var("x"))])[0].separated
