@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from termsep.terms import Term, Var, fold, var_key
+from termsep.terms import Term, Var, steps, var_key
 
 DEFAULT_EVAL_BUDGET = 2**26
 # assignments evaluated at once: for orders up to 256 a block's values take
@@ -123,26 +123,6 @@ def product_groupoid(G: CayleyGroupoid, H: CayleyGroupoid) -> CayleyGroupoid:
     return CayleyGroupoid(tuple(table))
 
 
-def _steps(terms: Sequence[Term]) -> tuple[list, list[int]]:
-    """Distinct subterms of the terms in post-order, and each term's step.
-
-    A step is a variable name or the pair of the earlier steps it
-    multiplies.  Equal subterms share one step, and a subterm object
-    shared between terms is walked once.
-    """
-    steps: list = []
-    index: dict = {}  # step -> its position in steps
-
-    def intern(step) -> int:
-        pos = index.setdefault(step, len(steps))
-        if pos == len(steps):
-            steps.append(step)
-        return pos
-
-    roots = fold(terms, lambda v: intern(v.name), lambda m, left, right: intern((left, right)))
-    return steps, roots
-
-
 def separations(
     G: CayleyGroupoid,
     pairs: Sequence[tuple[Term, Term]],
@@ -161,8 +141,8 @@ def separations(
     """
     if not pairs:
         return []
-    steps, roots = _steps([term for pair in pairs for term in pair])
-    names = sorted((step for step in steps if isinstance(step, str)), key=var_key)
+    prog, roots = steps([term for pair in pairs for term in pair])
+    names = sorted((step for step in prog if isinstance(step, str)), key=var_key)
     n = G.n
     total = n ** len(names)
     if total > budget:
@@ -176,7 +156,7 @@ def separations(
     varying = (1 << lead) - 1 | sliced << (len(names) - 1)
     bit = {name: 1 << i for i, name in enumerate(names)}
     masks: list[int] = []  # per step, a bit per variable it holds
-    for step in steps:
+    for step in prog:
         if isinstance(step, str):
             masks.append(bit[step])
         else:
@@ -192,11 +172,11 @@ def separations(
         )
         for i, name in enumerate(names[lead:])
     }
-    values: list = [None] * len(steps)
+    values: list = [None] * len(prog)
 
     def evaluate(plan):
         for i in plan:
-            step = steps[i]
+            step = prog[i]
             if isinstance(step, str):
                 values[i] = env[step]
             else:
@@ -217,7 +197,7 @@ def separations(
         assignment = {name: v for name, v in zip(names, point) if own & bit[name]}
         return SeparationVerdict(False, assignment)
 
-    evaluate([i for i in range(len(steps)) if not masks[i] & varying])
+    evaluate([i for i in range(len(prog)) if not masks[i] & varying])
     verdicts: list[Optional[SeparationVerdict]] = [None] * len(pairs)
     active = []
     for pair in range(len(pairs)):
@@ -229,7 +209,7 @@ def separations(
         itertools.product(range(n), repeat=lead), range(0, n, _CHUNK)
     )
     scalar = flat.dtype.type
-    per_block = [i for i in range(len(steps)) if masks[i] & varying]
+    per_block = [i for i in range(len(prog)) if masks[i] & varying]
     for fixed, lo in blocks:
         if not active:
             break
@@ -277,20 +257,3 @@ def is_k_antiassociative(
         if not verdict.separated:
             return AntiassociativityReport(k, False, (s, t), verdict.counterexample)
     return AntiassociativityReport(k, True)
-
-
-def closed_subsets(G: CayleyGroupoid) -> Iterable[frozenset[int]]:
-    """Nonempty subsets closed under the table (subgroupoid universes)."""
-    for size in range(1, G.n + 1):
-        for subset in itertools.combinations(range(G.n), size):
-            ss = set(subset)
-            if all(G.op(a, b) in ss for a in ss for b in ss):
-                yield frozenset(ss)
-
-
-def restrict(G: CayleyGroupoid, subset: Sequence[int]) -> CayleyGroupoid:
-    """Subgroupoid on a closed subset, re-indexed by sorted position."""
-    elems = sorted(subset)
-    pos = {e: i for i, e in enumerate(elems)}
-    table = tuple(tuple(pos[G.op(a, b)] for b in elems) for a in elems)
-    return CayleyGroupoid(table)

@@ -16,7 +16,7 @@ from termsep.census import census as run_census
 from termsep.census import stderr_progress
 from termsep import synth, verify
 from termsep.cayley import (
-    BudgetExceededError,
+    DEFAULT_EVAL_BUDGET,
     deranged_groupoid,
     product_groupoid,
     separations,
@@ -131,7 +131,7 @@ def cmd_separate(s_text, t_text, fmt, budget_candidates, emit_table, emit_affine
 @click.argument("action", type=click.Choice(["build", "verify"]))
 @click.option("-k", type=int, required=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-@click.option("--budget-evals", type=int, default=2**26)
+@click.option("--budget-evals", type=int, default=DEFAULT_EVAL_BUDGET)
 def cmd_antiassoc(action, k, fmt, budget_evals):
     """List the factors of a k-antiassociative groupoid, one per pair of
     distinct ordered terms, or list and re-verify them."""

@@ -359,34 +359,31 @@ def _candidate_paths(s: Term, t: Term) -> list[str]:
     return sorted(pool, key=lambda p: (len(p), p))
 
 
-def _candidate_opsums(s: Term, t: Term, max_summands: int = 2) -> Iterable[OpSum]:
+def _candidate_opsums(s: Term, t: Term) -> Iterable[OpSum]:
     """Stratified candidate stream: by summand count, then total path
     length, then pool order.  Registers follow the chain convention of the
     cover construction: sources from 1..max, targets from 0..max."""
-    paths = _candidate_paths(s, t)
-    specs = []  # (m, p, n, tweaked)
-    for p in paths:
-        for m in (1, 2):
-            for n in (0, 1, 2):
-                for tweaked in (False, True):
-                    specs.append((m, p, n, tweaked))
-    specs.sort(key=lambda sp: (len(sp[1]), sp[1], sp[0], sp[2], sp[3]))
-    for count in range(1, max_summands + 1):
-        combos = sorted(
-            itertools.combinations(specs, count),
-            key=lambda combo: (sum(len(sp[1]) for sp in combo),),
-        )
+    specs = [  # (m, p, n, tweaked), in the pool order of the stream
+        (m, p, n, tweaked)
+        for p in _candidate_paths(s, t)
+        for m in (1, 2)
+        for n in (0, 1, 2)
+        for tweaked in (False, True)
+    ]
+    for count in (1, 2):
+        # parity needs exactly one tweak, and two summands need distinct
+        # targets: the internal registers are fresh above every m and n,
+        # so these are the only sums op_sum would refuse
+        combos = [
+            combo
+            for combo in itertools.combinations(specs, count)
+            if sum(sp[3] for sp in combo) == 1 and len({sp[2] for sp in combo}) == count
+        ]
+        combos.sort(key=lambda combo: sum(len(sp[1]) for sp in combo))
         for combo in combos:
-            if sum(1 for sp in combo if sp[3]) != 1:
-                continue  # parity needs exactly one tweak
             alloc = RegisterAllocator()
             alloc.reserve(reg for sp in combo for reg in (sp[0], sp[2]))
-            try:
-                yield op_sum(
-                    [basic_op(m, p, n, tweaked, alloc) for m, p, n, tweaked in combo]
-                )
-            except ValueError:
-                continue
+            yield op_sum([basic_op(m, p, n, tweaked, alloc) for m, p, n, tweaked in combo])
 
 
 def search_separator(

@@ -7,7 +7,9 @@ addressed by paths, strings over 'l'/'r' with the empty string for the root
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -49,8 +51,34 @@ class Mul(Term):
     left: Term
     right: Term
 
+    def __eq__(self, other):
+        """Structural equality on an explicit stack, comparing each pair of
+        node objects once, so shared subterms are not walked again."""
+        if self is other:
+            return True
+        if other.__class__ is not Mul:
+            return NotImplemented
+        seen: set[tuple[int, int]] = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            if a.__class__ is Var:
+                if a.name != b.name:
+                    return False
+            elif (id(a), id(b)) not in seen:
+                seen.add((id(a), id(b)))
+                stack += ((a.right, b.right), (a.left, b.left))
+        return True
+
+    def __hash__(self):
+        return fold([self], hash, lambda m, left, right: hash((left, right)))[0]
+
     def __repr__(self):
-        return f"Mul({self.left!r}, {self.right!r})"
+        return fold([self], repr, lambda m, left, right: f"Mul({left}, {right})")[0]
 
 
 def variables(t: Term) -> list[str]:
@@ -144,6 +172,23 @@ def replace_leaves(roots: Sequence[Term], leaf: Callable[[Var], Term]) -> list[T
     return fold(roots, leaf, _rebuilt)
 
 
+def steps(terms: Sequence[Term]) -> tuple[list, list[int]]:
+    """Distinct subterms of the terms in post-order, and each term's step.
+
+    A step is a variable name or the pair of the earlier steps it
+    multiplies, so evaluating the steps in order evaluates every term.
+    Equal subterms share one step, and a subterm object shared between
+    terms is walked once.
+    """
+    index: dict = {}  # step -> its position, in the order first met
+    roots = fold(
+        terms,
+        lambda v: index.setdefault(v.name, len(index)),
+        lambda m, left, right: index.setdefault((left, right), len(index)),
+    )
+    return list(index), roots
+
+
 def shape_of(t: Term) -> Term:
     """Same tree with every leaf replaced by the sentinel variable."""
     chi = Var(SENTINEL)
@@ -162,57 +207,52 @@ def is_proper_prefix(q: str, p: str) -> bool:
 # so redundant parentheses are allowed, as in (x) or ((x*y)), and a
 # product of three factors needs parentheses: x*y*z is rejected.
 
+# a name, or one other character, after any white space; "" at the end
+_TOKEN = re.compile(r"\s*(\w+|\S|\Z)")
+
+
 def parse_term(text: str) -> Term:
-    parser = _Parser(text)
-    term = parser.parse_top()
-    parser.expect_end()
-    return term
+    """Parse on an explicit stack, so a deep term needs no recursion."""
+    tokens = _TOKEN.findall(text)
+    i = 0
+    # what each finished subterm still waits for, innermost last: "*" (it
+    # is a term's first factor, so a '*' and a second factor may follow),
+    # ")" or "" (that token must follow), or a Term (it is the second
+    # factor of that first factor)
+    pending: list = ["", "*"]
+    while True:
+        token = tokens[i]
+        while token == "(":
+            pending += (")", "*")
+            i += 1
+            token = tokens[i]
+        if not token[:1].isalpha():
+            raise _parse_error(text, i, "expected variable or '('")
+        value: Term = Var(SENTINEL if token == "chi" else token)
+        i += 1
+        while True:
+            want = pending.pop()
+            if isinstance(want, Term):
+                value = Mul(want, value)
+                continue
+            token = tokens[i]
+            if want == "*":
+                if token == "*":
+                    pending.append(value)
+                    i += 1
+                    break
+            elif token != want:
+                raise _parse_error(text, i, "expected ')'" if want else "trailing input")
+            elif want:
+                i += 1
+            else:
+                return value
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse_top(self) -> Term:
-        left = self.parse_factor()
-        if self.peek() == "*":
-            self.pos += 1
-            right = self.parse_factor()
-            return Mul(left, right)
-        return left
-
-    def parse_factor(self) -> Term:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            inner = self.parse_top()
-            if self.peek() != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.pos += 1
-            return inner
-        if ch.isalpha():
-            start = self.pos
-            self.pos += 1
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-            name = self.text[start : self.pos]
-            return Var(SENTINEL if name == "chi" else name)
-        raise ParseError("expected variable or '('", self.pos)
-
-    def expect_end(self):
-        if self.peek() != "":
-            raise ParseError("trailing input", self.pos)
+def _parse_error(text: str, token: int, message: str) -> ParseError:
+    """The error at the start of the token-th token of text."""
+    match = next(itertools.islice(_TOKEN.finditer(text), token, None))
+    return ParseError(message, match.start(1))
 
 
 def render_term(t: Term) -> str:

@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from termsep import gf2
-from termsep.terms import Term, Var, variables
+from termsep.terms import Term, steps, variables
 
 DEFAULT_TABLE_BITS = 16
 
@@ -143,17 +143,6 @@ def op_sum(ops: Sequence[BasicOp]) -> OpSum:
     return OpSum(tuple(ops))
 
 
-def opsum_from_json(obj: Sequence[dict], allocator: Optional[RegisterAllocator] = None) -> OpSum:
-    if allocator is None:
-        allocator = RegisterAllocator()
-        for entry in obj:
-            allocator.reserve((entry["m"], entry["n"]))
-    ops = [
-        basic_op(e["m"], e["p"], e["n"], bool(e.get("tweaked")), allocator) for e in obj
-    ]
-    return op_sum(ops)
-
-
 @dataclass(frozen=True)
 class VecGroupoid:
     """x*y = A.x + B.y + c over GF(2), components named by sorted indices.
@@ -264,19 +253,6 @@ def compile_opsum(opsum: OpSum) -> VecGroupoid:
     return VecGroupoid(indices, tuple(xrows), tuple(yrows), cbits)
 
 
-def eval_opsum_direct(opsum: OpSum, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
-    """Interpret the equations literally on register->bit maps.
-
-    Independent of the compiled matrix form; registers not assigned by
-    any equation come out zero.
-    """
-    z = {reg: 0 for reg in opsum.registers()}
-    for eq in opsum.equations():
-        source = x if eq.side == "x" else y
-        z[eq.target] = (source.get(eq.source, 0) + (1 if eq.flip else 0)) % 2
-    return z
-
-
 def affine_groupoid(A, B, c) -> VecGroupoid:
     """Direct construction from square matrices; indices are 0..m-1."""
     A = np.asarray(A, dtype=np.uint8)
@@ -296,11 +272,23 @@ def eval_bits(G: VecGroupoid, x: int, y: int) -> int:
     return out
 
 
+def program_values(
+    G: VecGroupoid, prog: Sequence, roots: Sequence[int], env: dict[str, int]
+) -> list[int]:
+    """The values of the steps roots of a program (see terms.steps), with
+    packed variable values, evaluated step by step."""
+    values: list[int] = []
+    for step in prog:
+        if isinstance(step, str):
+            values.append(env[step])
+        else:
+            values.append(eval_bits(G, values[step[0]], values[step[1]]))
+    return [values[root] for root in roots]
+
+
 def eval_term_bits(G: VecGroupoid, t: Term, env: dict[str, int]) -> int:
-    """Recursive term evaluation with packed variable values."""
-    if isinstance(t, Var):
-        return env[t.name]
-    return eval_bits(G, eval_term_bits(G, t.left, env), eval_term_bits(G, t.right, env))
+    """Term evaluation with packed variable values."""
+    return program_values(G, *steps([t]), env)[0]
 
 
 def eval_vec(G: VecGroupoid, x, y) -> np.ndarray:
@@ -312,7 +300,7 @@ def eval_vec(G: VecGroupoid, x, y) -> np.ndarray:
 
 
 def eval_term_vec(G: VecGroupoid, t: Term, env: dict[str, np.ndarray]) -> np.ndarray:
-    """Recursive term evaluation with bit-vector variable values."""
+    """Term evaluation with bit-vector variable values."""
     packed = {name: gf2.pack(value) for name, value in env.items()}
     return gf2.unpack(eval_term_bits(G, t, packed), G.width)
 
@@ -353,42 +341,53 @@ class AffineTermForm:
         return gf2.unpack(out, m)
 
 
-def term_affine_form(
-    G: VecGroupoid, t: Term, names: Optional[Sequence[str]] = None
-) -> AffineTermForm:
-    """The affine form of t, with columns for `names` in that order
-    (default: the variables of t).  Each component's row is the XOR of the
-    child rows it reads; the constant rides along in one extra column."""
+def program_forms(
+    G: VecGroupoid, prog: Sequence, roots: Sequence[int], names: Sequence[str]
+) -> list[AffineTermForm]:
+    """The affine forms of the steps roots of a program (see terms.steps),
+    with columns for `names` in that order.  Step by step, each
+    component's row is the XOR of the rows it reads of the step's
+    factors; the constant rides along in one extra column."""
     m = G.width
-    names = tuple(variables(t)) if names is None else tuple(names)
+    names = tuple(names)
     ncols = len(names) * m
     one = 1 << ncols
     plan = [
         (one if (G.cbits >> i) & 1 else 0, xs, ys) for i, (xs, ys) in enumerate(G.sources)
     ]
-    leaves = {
-        name: [1 << (k * m + j) for j in range(m)] for k, name in enumerate(names)
-    }
-    top = _form_rows(t, leaves, plan)
-    const_bits = 0
-    for i, row in enumerate(top):
-        const_bits |= (row >> ncols) << i
-    return AffineTermForm(names, m, tuple(row & (one - 1) for row in top), const_bits)
-
-
-def _form_rows(node: Term, leaves: dict[str, list[int]], plan) -> list[int]:
-    if isinstance(node, Var):
-        return leaves[node.name]
-    left = _form_rows(node.left, leaves, plan)
-    right = _form_rows(node.right, leaves, plan)
+    column = {name: k * m for k, name in enumerate(names)}
+    forms: list[list[int]] = []
+    for step in prog:
+        if isinstance(step, str):
+            forms.append([1 << (column[step] + j) for j in range(m)])
+            continue
+        left, right = forms[step[0]], forms[step[1]]
+        rows = []
+        for acc, xs, ys in plan:
+            for j in xs:
+                acc ^= left[j]
+            for j in ys:
+                acc ^= right[j]
+            rows.append(acc)
+        forms.append(rows)
     out = []
-    for acc, xs, ys in plan:
-        for j in xs:
-            acc ^= left[j]
-        for j in ys:
-            acc ^= right[j]
-        out.append(acc)
+    for root in roots:
+        const_bits = 0
+        for i, row in enumerate(forms[root]):
+            const_bits |= (row >> ncols) << i
+        out.append(
+            AffineTermForm(names, m, tuple(row & (one - 1) for row in forms[root]), const_bits)
+        )
     return out
+
+
+def term_affine_form(
+    G: VecGroupoid, t: Term, names: Optional[Sequence[str]] = None
+) -> AffineTermForm:
+    """The affine form of t, with columns for `names` in that order
+    (default: the variables of t)."""
+    names = variables(t) if names is None else names
+    return program_forms(G, *steps([t]), names)[0]
 
 
 def direct_sum(*factors: VecGroupoid) -> VecGroupoid:
@@ -411,19 +410,6 @@ def direct_sum(*factors: VecGroupoid) -> VecGroupoid:
         cbits |= G.cbits << lo
         lo += G.width
     return VecGroupoid(tuple(indices), tuple(xrows), tuple(yrows), cbits)
-
-
-def vec_to_int(vec: np.ndarray) -> int:
-    """Bit vector read as binary, first component most significant."""
-    out = 0
-    for b in vec:
-        out = (out << 1) | int(b)
-    return out
-
-
-def int_to_vec(G: VecGroupoid, value: int) -> np.ndarray:
-    m = G.width
-    return np.array([(value >> (m - 1 - i)) & 1 for i in range(m)], dtype=np.uint8)
 
 
 def to_cayley(G: VecGroupoid, max_bits: int = DEFAULT_TABLE_BITS):

@@ -16,21 +16,22 @@ from typing import Optional
 import numpy as np
 
 from termsep import gf2
-from termsep.cayley import separates_exhaustive
-from termsep.terms import Mul, Term, Var, render_term, subterm_at, var_key, variables
+from termsep.cayley import DEFAULT_EVAL_BUDGET, separates_exhaustive
+from termsep.terms import Mul, Term, Var, render_term, steps, subterm_at, var_key, variables
 from termsep.vecops import (
     OpSum,
     RegisterAllocator,
     VecGroupoid,
     basic_op,
     compile_opsum,
-    eval_term_bits,
     op_sum,
+    program_forms,
+    program_values,
     term_affine_form,
     to_cayley,
 )
 
-CROSS_CHECK_BUDGET = 2**26
+CROSS_CHECK_BUDGET = DEFAULT_EVAL_BUDGET
 
 
 @dataclass(frozen=True)
@@ -52,22 +53,23 @@ class AffineDecision:
 
 def _difference_system(G: VecGroupoid, s: Term, t: Term):
     """D | d0 as packed rows: the XOR of the two terms' forms over the
-    variables of both, sorted."""
-    names = sorted(set(variables(s)) | set(variables(t)), key=var_key)
-    S = term_affine_form(G, s, names)
-    T = term_affine_form(G, t, names)
+    variables of both, sorted, from one program for (s, t)."""
+    prog, roots = steps([s, t])
+    names = sorted((step for step in prog if isinstance(step, str)), key=var_key)
+    S, T = program_forms(G, prog, roots, names)
     D = gf2.Matrix([a ^ b for a, b in zip(S.rows, T.rows)], len(names) * G.width)
-    return names, D, S.const_bits ^ T.const_bits
+    return prog, roots, names, D, S.const_bits ^ T.const_bits
 
 
 def affine_separation_decision(G: VecGroupoid, s: Term, t: Term) -> AffineDecision:
-    names, D, d0 = _difference_system(G, s, t)
+    prog, roots, names, D, d0 = _difference_system(G, s, t)
     m = G.width
     solution = gf2.solve(D, d0)
     if solution is not None:
         mask = (1 << m) - 1
         env = {name: (solution >> (k * m)) & mask for k, name in enumerate(names)}
-        if eval_term_bits(G, s, env) != eval_term_bits(G, t, env):
+        value_s, value_t = program_values(G, prog, roots, env)
+        if value_s != value_t:
             raise AssertionError("equality witness failed re-evaluation")
         return AffineDecision(False, witness=env, width=m)
     # lam . D = 0 with lam . d0 = 1; stack both conditions as one system
@@ -84,7 +86,7 @@ def check_parity_functional(
     G: VecGroupoid, s: Term, t: Term, lam: frozenset[int]
 ) -> bool:
     """Does the register set lam sum to constantly different values?"""
-    _, D, d0 = _difference_system(G, s, t)
+    *_, D, d0 = _difference_system(G, s, t)
     sel = 0
     for reg in lam:
         sel |= 1 << G.position(reg)

@@ -1,7 +1,8 @@
 """The dense numpy GF(2) path, kept as the reference for the packed code.
 
 rref, solve, nullspace and min_weight_solution are the textbook
-eliminations on uint8 arrays.  term_form composes the groupoid's matrices
+eliminations on uint8 arrays.  eval_opsum_direct reads an OpSum's
+equations literally, without compiling them.  term_form composes the groupoid's matrices
 along the term (A @ M for a left child, B @ M for a right one), and
 decision and parity_ok are the separation decision and the parity check
 built on them.  The random_* helpers make seeded inputs for comparing them.
@@ -117,6 +118,19 @@ def term_form(G, t: Term):
         return coeff, (G.A @ l0 + G.B @ r0 + G.c) % 2
 
     return walk(t)
+
+
+def eval_opsum_direct(opsum, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+    """Interpret the equations literally on register->bit maps.
+
+    Independent of the compiled matrix form; registers not assigned by
+    any equation come out zero.
+    """
+    z = {reg: 0 for reg in opsum.registers()}
+    for eq in opsum.equations():
+        source = x if eq.side == "x" else y
+        z[eq.target] = (source.get(eq.source, 0) + (1 if eq.flip else 0)) % 2
+    return z
 
 
 def eval_term(G, t: Term, env) -> np.ndarray:

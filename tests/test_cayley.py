@@ -11,12 +11,10 @@ from termsep.cayley import (
     BudgetExceededError,
     CayleyGroupoid,
     SeparationVerdict,
-    closed_subsets,
     deranged_groupoid,
     eval_cayley,
     is_k_antiassociative,
     product_groupoid,
-    restrict,
     separates_exhaustive,
     separations,
 )
@@ -444,16 +442,6 @@ class TestAntiassociativity:
                     )
                     break
             assert is_k_antiassociative(G, k) == want
-
-
-class TestSubgroupoids:
-    def test_closed_subsets_still_separate(self):
-        product = product_groupoid(Z2_LEFT, Z3_RIGHT)
-        pairs = list(itertools.combinations(enumerate_ordered_terms(4), 2))
-        for subset in closed_subsets(product):
-            sub = restrict(product, subset)
-            for s, t in pairs:
-                assert separates_exhaustive(sub, s, t).separated
 
 
 class TestSerialization:

@@ -24,7 +24,7 @@ from termsep.synth import (
     synth_cycle,
 )
 from termsep.terms import enumerate_ordered_terms, parse_term, render_term
-from termsep.vecops import compile_opsum, eval_opsum_direct, to_cayley
+from termsep.vecops import compile_opsum, to_cayley
 from termsep.verify import affine_separation_decision, check_parity_functional
 
 
@@ -255,6 +255,16 @@ class TestSearch:
         seed = synth_cover(find_cover_pair(s, t)).opsum
         cert = search_separator(s, t, budget=1, seeds=[seed])
         assert cert is not None and cert.opsum is seed
+
+
+class TestCandidateStream:
+    def test_stream_is_pinned(self):
+        s, t = parse_term("x*(y*y)"), parse_term("(y*(y*y))*x")
+        stream = list(synth._candidate_opsums(s, t))
+        assert len(stream) == 1584
+        assert stream[0].render() == "||1,l,0||'"
+        assert stream[-1].render() == "||2,lrr,1||' + ||2,lrr,2||"
+        assert [op.internal for op in stream[-1].summands] == [(3, 4), (5, 6)]
 
 
 class TestDecideFiniteSeparability:

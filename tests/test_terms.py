@@ -1,5 +1,6 @@
 import gc
 import itertools
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,7 @@ from termsep.terms import (
     render_term,
     replace_leaves,
     shape_of,
+    steps,
     subterm_at,
 )
 
@@ -76,6 +78,23 @@ class TestParsing:
     def test_round_trip(self, t):
         assert parse_term(render_term(t)) == t
 
+    def test_deep_combs_round_trip(self):
+        right = Var("x5000")
+        for i in range(4999, -1, -1):
+            right = Mul(Var(f"x{i}"), right)
+        text = render_term(right)
+        assert text.startswith("x0*(x1*(x2*(") and text.endswith("*x5000" + ")" * 4999)
+        assert parse_term(text) == right
+        assert render_term(parse_term(text)) == text
+        left = "(" * 4999 + "x0" + "".join(f"*x{i})" for i in range(1, 5000)) + "*x5000"
+        assert render_term(parse_term(left)) == left
+
+    def test_deep_error_has_position(self):
+        with pytest.raises(ParseError) as err:
+            parse_term("(" * 5000 + "x")
+        assert err.value.position == 5001
+        assert str(err.value) == "expected ')' at position 5001"
+
 
 class TestFold:
     def test_post_order_left_first_once_per_object(self):
@@ -104,6 +123,51 @@ class TestFold:
         assert [render_term(t) for t in out] == ["(u*y)*(z*z)", "w*(u*y)"]
         assert out[0].left is out[1].right
         assert out[0].right is roots[0].right
+
+
+class TestSteps:
+    def test_post_order_shared_between_terms(self):
+        s, t = parse_term("x*(y*x)"), parse_term("(y*x)*x")
+        assert steps([s, t]) == (["x", "y", (1, 0), (0, 2), (2, 0)], [3, 4])
+
+    def test_one_step_per_distinct_subterm(self):
+        a, b = Var("x"), Var("x")
+        for _ in range(40):  # 2**40 leaves, built apart
+            a, b = Mul(a, a), Mul(b, b)
+        prog, roots = steps([a, b])
+        assert len(prog) == 41 and roots == [40, 40]
+
+
+class TestEquality:
+    @staticmethod
+    def comb(depth: int, last: str = "y") -> Term:
+        t = Var(last)
+        for _ in range(depth):
+            t = Mul(Var("y"), t)
+        return t
+
+    def test_deep_combs_built_apart(self):
+        a, b = self.comb(2000), self.comb(2000)
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a != self.comb(2000, last="z")
+        assert a != self.comb(1999)
+        assert repr(a).startswith("Mul(Var('y'), Mul(Var('y'), ")
+
+    def test_shared_subterms_compared_once(self):
+        a, b = Var("x"), Var("x")
+        for _ in range(24):  # 2**24 leaves, 25 distinct nodes a side
+            a, b = Mul(a, a), Mul(b, b)
+        start = time.perf_counter()
+        assert a == b and hash(a) == hash(b)
+        assert Mul(a, Var("x")) != Mul(b, Var("y"))
+        assert time.perf_counter() - start < 1.0
+
+    def test_class_mismatch(self):
+        assert Mul(Var("x"), Var("y")) != Var("x")
+        assert Var("x") != Mul(Var("x"), Var("y"))
+        assert Mul(Var("x"), Var("y")) != "x*y"
 
 
 class TestOccurrences:

@@ -271,3 +271,33 @@ class TestSharedSubterms:
         # x*y = x+1 (mod 2): the comb is x + 5000 = x
         G = deranged_groupoid(2, [1, 0], "LEFT")
         assert not separations(G, [(comb, Var("x"))])[0].separated
+
+    def test_equal_deep_combs_built_apart(self):
+        def comb():
+            t = Var("y")
+            for _ in range(2000):
+                t = Mul(Var("y"), t)
+            return t
+
+        outcome = unify(Mul(comb(), Var("z")), Mul(comb(), Var("w")))
+        assert outcome.substitution == {"z": Var("w")}
+
+    def test_equal_chains_built_apart(self):
+        # a0 = b0, a_i = a_(i-1)*a_(i-1), b_i = b_(i-1)*b_(i-1), a_n = b_n:
+        # the last statement compares two equal bindings of 2**n leaves
+        # that share no node with each other
+        n = 24
+        a = [Var(f"a{i}") for i in range(n + 1)]
+        b = [Var(f"b{i}") for i in range(n + 1)]
+        lhs, rhs = [a[0]], [b[0]]
+        for i in range(1, n + 1):
+            lhs += (a[i], b[i])
+            rhs += (Mul(a[i - 1], a[i - 1]), Mul(b[i - 1], b[i - 1]))
+        s, t = a[n], b[n]
+        for x, y in zip(reversed(lhs), reversed(rhs)):
+            s, t = Mul(x, s), Mul(y, t)
+        start = time.perf_counter()
+        outcome = unify(s, t)
+        assert time.perf_counter() - start < 1.0
+        assert outcome.unifiable
+        assert outcome.substitution[f"a{n}"] == outcome.substitution[f"b{n}"]

@@ -6,13 +6,14 @@ import pytest
 
 import dense_reference as dense
 from termsep.synth import decide_finite_separability, find_cover_pair, synth_cover
-from termsep.terms import Mul, Var, parse_term
+from termsep.terms import Mul, Var, parse_term, render_term
 from termsep.vecops import (
     RegisterAllocator,
     basic_op,
     compile_opsum,
     eval_term_vec,
     op_sum,
+    term_affine_form,
 )
 from termsep.verify import (
     affine_separation_decision,
@@ -119,6 +120,39 @@ class TestAgainstDense:
         assert result.to_json()["groupoid"] == {
             "indices": [0, 1], "A": [[0, 1], [0, 0]], "B": [[0, 0], [0, 1]], "c": [0, 1],
         }
+
+
+class TestDeepTerms:
+    @staticmethod
+    def comb_pair():
+        """s = x*(y1*(y2*(...*(y1999*y2000)))), a right comb of depth
+        2,000, against the left comb t = (x*u)*v."""
+        s = Var("y2000")
+        for i in range(1999, 0, -1):
+            s = Mul(Var(f"y{i}"), s)
+        return Mul(Var("x"), s), parse_term("(x*u)*v")
+
+    @pytest.mark.parametrize("parsed", [False, True])
+    def test_right_comb_against_left_comb(self, parsed):
+        s, t = self.comb_pair()
+        if parsed:
+            s = parse_term("x*(" + render_term(s.right) + ")")
+        result = decide_finite_separability(s, t)
+        assert (result.verdict, result.construction) == ("separated", "cover")
+        G, lam = result.certificate.groupoid, result.certificate.lam
+        assert check_parity_functional(G, s, t, lam)
+        decision = affine_separation_decision(G, s, t)
+        assert decision.separated and decision.lam == lam
+
+    def test_forms_and_values_agree(self):
+        s, _ = self.comb_pair()
+        G = dense.worked_example()[0]
+        rng = random.Random(0)
+        names = ["x"] + [f"y{i}" for i in range(1, 2001)]
+        env = {name: np.array([rng.randrange(2) for _ in range(G.width)]) for name in names}
+        form = term_affine_form(G, s)
+        assert form.vars == tuple(names)
+        assert form.evaluate(env).tolist() == eval_term_vec(G, s, env).tolist()
 
 
 class TestCrossCheck:
