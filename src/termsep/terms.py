@@ -1,8 +1,10 @@
-"""Groupoid term trees: parsing, paths, folds, and ordered-term enumeration.
+"""Groupoid term trees: parsing, paths, folds, step programs, and
+ordered-term enumeration.
 
 A term is a full binary tree with variable names at the leaves.  Nodes are
 addressed by paths, strings over 'l'/'r' with the empty string for the root
-(rendered as '^' in human-facing output).
+(rendered as '^' in human-facing output).  No walk over a term here
+recurses, so a deep term needs no more stack than a shallow one.
 """
 
 from __future__ import annotations
@@ -58,20 +60,21 @@ class Mul(Term):
             return True
         if other.__class__ is not Mul:
             return NotImplemented
-        seen: set[tuple[int, int]] = set()
+        seen: set[tuple[int, int]] = set()  # node pairs already pushed
         stack = [(self, other)]
         while stack:
             a, b = stack.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__:
-                return False
-            if a.__class__ is Var:
-                if a.name != b.name:
+            for x, y in ((a.right, b.right), (a.left, b.left)):
+                if x is y:
+                    continue
+                if x.__class__ is not y.__class__:
                     return False
-            elif (id(a), id(b)) not in seen:
-                seen.add((id(a), id(b)))
-                stack += ((a.right, b.right), (a.left, b.left))
+                if x.__class__ is Var:
+                    if x.name != y.name:
+                        return False
+                elif (id(x), id(y)) not in seen:
+                    seen.add((id(x), id(y)))
+                    stack.append((x, y))
         return True
 
     def __hash__(self):
@@ -143,18 +146,20 @@ def fold(roots: Sequence[Term], leaf: Callable, node: Callable) -> list:
     """
     done: dict[int, object] = {}
     for root in roots:
-        stack = [root]
+        stack: list = [root]
         while stack:
             t = stack.pop()
+            if t is None:  # the factors of the node below are done
+                t = stack.pop()
+                done[id(t)] = node(t, done[id(t.left)], done[id(t.right)])
+                continue
             key = id(t)
             if key in done:
                 continue
             if isinstance(t, Var):
                 done[key] = leaf(t)
-            elif id(t.left) in done and id(t.right) in done:
-                done[key] = node(t, done[id(t.left)], done[id(t.right)])
-            else:  # visit the factors, left first, then t again
-                stack += (t, t.right, t.left)
+            else:  # visit the factors, left first, then t
+                stack += (t, None, t.right, t.left)
     return [done[id(root)] for root in roots]
 
 
