@@ -81,7 +81,15 @@ class Mul(Term):
         return fold([self], hash, lambda m, left, right: hash((left, right)))[0]
 
     def __repr__(self):
-        return fold([self], repr, lambda m, left, right: f"Mul({left}, {right})")[0]
+        out = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, Mul):
+                stack += (")", item.right, ", ", item.left, "Mul(")
+            else:
+                out.append(item if isinstance(item, str) else repr(item))
+        return "".join(out)
 
 
 def variables(t: Term) -> list[str]:

@@ -320,6 +320,17 @@ class AffineTermForm:
     rows: tuple[int, ...]
     const_bits: int
 
+    @classmethod
+    def from_rows(cls, names: Sequence[str], width: int, rows: Sequence[int]):
+        """The form whose output component i is rows[i] over the columns
+        of names, with its constant in column len(names) * width."""
+        ncols = len(names) * width
+        const_bits = 0
+        for i, row in enumerate(rows):
+            const_bits |= (row >> ncols) << i
+        mask = (1 << ncols) - 1
+        return cls(tuple(names), width, tuple(row & mask for row in rows), const_bits)
+
     @cached_property
     def coeff(self) -> dict[str, np.ndarray]:
         m = self.width
@@ -341,17 +352,16 @@ class AffineTermForm:
         return gf2.unpack(out, m)
 
 
-def program_forms(
+def program_rows(
     G: VecGroupoid, prog: Sequence, roots: Sequence[int], names: Sequence[str]
-) -> list[AffineTermForm]:
-    """The affine forms of the steps roots of a program (see terms.steps),
-    with columns for `names` in that order.  Step by step, each
-    component's row is the XOR of the rows it reads of the step's
-    factors; the constant rides along in one extra column."""
+) -> list[list[int]]:
+    """The affine forms of the steps roots of a program (see terms.steps)
+    as rows over the columns of `names`, in that order, with the constant
+    in one extra column after them (see AffineTermForm.from_rows).  Step
+    by step, each component's row is the XOR of the rows it reads of the
+    step's factors."""
     m = G.width
-    names = tuple(names)
-    ncols = len(names) * m
-    one = 1 << ncols
+    one = 1 << (len(names) * m)
     plan = [
         (one if (G.cbits >> i) & 1 else 0, xs, ys) for i, (xs, ys) in enumerate(G.sources)
     ]
@@ -370,15 +380,7 @@ def program_forms(
                 acc ^= right[j]
             rows.append(acc)
         forms.append(rows)
-    out = []
-    for root in roots:
-        const_bits = 0
-        for i, row in enumerate(forms[root]):
-            const_bits |= (row >> ncols) << i
-        out.append(
-            AffineTermForm(names, m, tuple(row & (one - 1) for row in forms[root]), const_bits)
-        )
-    return out
+    return [forms[root] for root in roots]
 
 
 def term_affine_form(
@@ -387,7 +389,7 @@ def term_affine_form(
     """The affine form of t, with columns for `names` in that order
     (default: the variables of t)."""
     names = variables(t) if names is None else names
-    return program_forms(G, *steps([t]), names)[0]
+    return AffineTermForm.from_rows(names, G.width, program_rows(G, *steps([t]), names)[0])
 
 
 def direct_sum(*factors: VecGroupoid) -> VecGroupoid:

@@ -19,13 +19,14 @@ from termsep import gf2
 from termsep.cayley import DEFAULT_EVAL_BUDGET, separates_exhaustive
 from termsep.terms import Mul, Term, Var, render_term, steps, subterm_at, var_key, variables
 from termsep.vecops import (
+    AffineTermForm,
     OpSum,
     RegisterAllocator,
     VecGroupoid,
     basic_op,
     compile_opsum,
     op_sum,
-    program_forms,
+    program_rows,
     program_values,
     term_affine_form,
     to_cayley,
@@ -52,13 +53,13 @@ class AffineDecision:
 
 
 def _difference_system(G: VecGroupoid, s: Term, t: Term):
-    """D | d0 as packed rows: the XOR of the two terms' forms over the
-    variables of both, sorted, from one program for (s, t)."""
+    """D | d0 as packed rows: the affine form of s + t over the variables
+    of both, sorted, from one program for (s, t)."""
     prog, roots = steps([s, t])
-    names = sorted((step for step in prog if isinstance(step, str)), key=var_key)
-    S, T = program_forms(G, prog, roots, names)
-    D = gf2.Matrix([a ^ b for a, b in zip(S.rows, T.rows)], len(names) * G.width)
-    return prog, roots, names, D, S.const_bits ^ T.const_bits
+    names = sorted([step for step in prog if isinstance(step, str)], key=var_key)
+    S, T = program_rows(G, prog, roots, names)
+    diff = AffineTermForm.from_rows(names, G.width, [a ^ b for a, b in zip(S, T)])
+    return prog, roots, names, gf2.Matrix(diff.rows, len(names) * G.width), diff.const_bits
 
 
 def affine_separation_decision(G: VecGroupoid, s: Term, t: Term) -> AffineDecision:
