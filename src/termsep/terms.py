@@ -81,15 +81,7 @@ class Mul(Term):
         return fold([self], hash, lambda m, left, right: hash((left, right)))[0]
 
     def __repr__(self):
-        out = []
-        stack: list = [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, Mul):
-                stack += (")", item.right, ", ", item.left, "Mul(")
-            else:
-                out.append(item if isinstance(item, str) else repr(item))
-        return "".join(out)
+        return f"parse_term({render_term(self)!r})"
 
 
 def variables(t: Term) -> list[str]:

@@ -275,8 +275,8 @@ def eval_bits(G: VecGroupoid, x: int, y: int) -> int:
 def program_values(
     G: VecGroupoid, prog: Sequence, roots: Sequence[int], env: dict[str, int]
 ) -> list[int]:
-    """The values of the steps roots of a program (see terms.steps), with
-    packed variable values, evaluated step by step."""
+    """The values of the steps `roots` of a program (see terms.steps),
+    with packed variable values, evaluated step by step."""
     values: list[int] = []
     for step in prog:
         if isinstance(step, str):
@@ -321,7 +321,9 @@ class AffineTermForm:
     const_bits: int
 
     @classmethod
-    def from_rows(cls, names: Sequence[str], width: int, rows: Sequence[int]):
+    def from_rows(
+        cls, names: Sequence[str], width: int, rows: Sequence[int]
+    ) -> "AffineTermForm":
         """The form whose output component i is rows[i] over the columns
         of names, with its constant in column len(names) * width."""
         ncols = len(names) * width
@@ -355,11 +357,11 @@ class AffineTermForm:
 def program_rows(
     G: VecGroupoid, prog: Sequence, roots: Sequence[int], names: Sequence[str]
 ) -> list[list[int]]:
-    """The affine forms of the steps roots of a program (see terms.steps)
-    as rows over the columns of `names`, in that order, with the constant
-    in one extra column after them (see AffineTermForm.from_rows).  Step
-    by step, each component's row is the XOR of the rows it reads of the
-    step's factors."""
+    """The affine forms of the steps `roots` of a program (see
+    terms.steps) as rows over the columns of `names`, in that order, with
+    the constant in one extra column after them (see
+    AffineTermForm.from_rows).  Step by step, each component's row is the
+    XOR of the rows it reads of the step's factors."""
     m = G.width
     one = 1 << (len(names) * m)
     plan = [
