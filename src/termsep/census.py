@@ -31,6 +31,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from termsep.cayley import CayleyGroupoid, is_k_antiassociative
+
 
 @dataclass(frozen=True)
 class CensusReport:
@@ -52,25 +54,12 @@ class CensusReport:
         }
 
 
-def _is_antiassociative(table, n: int) -> bool:
-    for a in range(n):
-        for b in range(n):
-            ab = table[a * n + b]
-            for c in range(n):
-                if table[ab * n + c] == table[a * n + table[b * n + c]]:
-                    return False
-    return True
-
-
 def census_unpruned(n: int) -> int:
-    """Reference count by full enumeration; n <= 3 only."""
+    """Reference count, every table brute-forced by cayley; n <= 3 only."""
     if n > 3:
         raise ValueError("unpruned enumeration is for n <= 3")
-    count = 0
-    for table in itertools.product(range(n), repeat=n * n):
-        if _is_antiassociative(table, n):
-            count += 1
-    return count
+    tables = itertools.product(itertools.product(range(n), repeat=n), repeat=n)
+    return sum(is_k_antiassociative(CayleyGroupoid(t), 3).antiassociative for t in tables)
 
 
 def literally_deranged_tables(n: int) -> set[tuple[int, ...]]:

@@ -88,7 +88,10 @@ def cmd_unify(s_text, t_text, fmt):
     except ParseError as exc:
         _fail(str(exc), 2)
     outcome = unify(s, t)
-    obj = outcome.to_json()
+    try:
+        obj = outcome.to_json()
+    except ValueError as exc:  # a term over the render bound
+        _fail(str(exc), 2)
     lines = [obj["result"]]
     if outcome.unifiable:
         lines += [f"  {k} = {v}" for k, v in (obj["bindings"] or {}).items()]
@@ -110,7 +113,10 @@ def cmd_separate(s_text, t_text, fmt, budget_candidates, emit_table, emit_affine
     except ParseError as exc:
         _fail(str(exc), 2)
     result = synth.decide_finite_separability(s, t, search_budget=budget_candidates)
-    obj = result.to_json()
+    try:
+        obj = result.to_json()
+    except ValueError as exc:  # a term over the render bound
+        _fail(str(exc), 2)
     if result.certificate is not None:
         G = result.certificate.groupoid
         if emit_table:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+import weakref
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -32,53 +32,54 @@ class InvalidPathError(ValueError):
 
 
 class Term:
-    """Base class; instances are Var or Mul."""
+    """Base class; instances are Var or Mul.  Terms are immutable and
+    hash-consed: equal terms are one object, so == and hash are identity.
+    The tables are not locked: build terms in one thread at a time."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
     def __mul__(self, other: "Term") -> "Term":
         return Mul(self, other)
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a term")
 
-@dataclass(frozen=True)
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a term")
+
+    def __reduce__(self):  # unpickled through the constructor, so interned
+        return self.__class__, tuple(getattr(self, field) for field in self.__slots__)
+
+
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
+    _live = weakref.WeakValueDictionary()  # name -> the one live Var
+
+    def __new__(cls, name: str):
+        t = cls._live.get(name)
+        if t is None:
+            t = object.__new__(cls)
+            object.__setattr__(t, "name", name)
+            cls._live[name] = t
+        return t
 
     def __repr__(self):
         return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True)
 class Mul(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
+    _live = weakref.WeakValueDictionary()  # (left, right) -> the one live Mul
 
-    def __eq__(self, other):
-        """Structural equality on an explicit stack, comparing each pair of
-        node objects once, so shared subterms are not walked again."""
-        if self is other:
-            return True
-        if other.__class__ is not Mul:
-            return NotImplemented
-        seen: set[tuple[int, int]] = set()  # node pairs already pushed
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            for x, y in ((a.right, b.right), (a.left, b.left)):
-                if x is y:
-                    continue
-                if x.__class__ is not y.__class__:
-                    return False
-                if x.__class__ is Var:
-                    if x.name != y.name:
-                        return False
-                elif (id(x), id(y)) not in seen:
-                    seen.add((id(x), id(y)))
-                    stack.append((x, y))
-        return True
-
-    def __hash__(self):
-        return fold([self], hash, lambda m, left, right: hash((left, right)))[0]
+    def __new__(cls, left: Term, right: Term):
+        key = (left, right)
+        t = cls._live.get(key)
+        if t is None:
+            t = object.__new__(cls)
+            object.__setattr__(t, "left", left)
+            object.__setattr__(t, "right", right)
+            cls._live[key] = t
+        return t
 
     def __repr__(self):
         return f"parse_term({render_term(self)!r})"
@@ -141,40 +142,33 @@ def fold(roots: Sequence[Term], leaf: Callable, node: Callable) -> list:
     right) at a Mul, given the values of its factors.
 
     The walk is post-order, left factor first, on its own stack, so a deep
-    term needs no recursion.  Values are kept by node id across all the
-    roots, so a node object reached again is computed once.
+    term needs no recursion.  Values are kept by node across all the
+    roots, so each distinct subterm is computed once.
     """
-    done: dict[int, object] = {}
+    done: dict[Term, object] = {}
     for root in roots:
         stack: list = [root]
         while stack:
             t = stack.pop()
             if t is None:  # the factors of the node below are done
                 t = stack.pop()
-                done[id(t)] = node(t, done[id(t.left)], done[id(t.right)])
+                done[t] = node(t, done[t.left], done[t.right])
+            elif t in done:
                 continue
-            key = id(t)
-            if key in done:
-                continue
-            if isinstance(t, Var):
-                done[key] = leaf(t)
+            elif isinstance(t, Var):
+                done[t] = leaf(t)
             else:  # visit the factors, left first, then t
                 stack += (t, None, t.right, t.left)
-    return [done[id(root)] for root in roots]
-
-
-def _rebuilt(m: Mul, left: Term, right: Term) -> Term:
-    return m if left is m.left and right is m.right else Mul(left, right)
+    return [done[root] for root in roots]
 
 
 def replace_leaves(roots: Sequence[Term], leaf: Callable[[Var], Term]) -> list[Term]:
     """The roots with every leaf v replaced by leaf(v).
 
-    A node whose factors both come back unchanged is returned as it is, and
-    a node shared by the roots is rebuilt once, so shared subterms stay
-    shared and == between results stops at identical objects.
+    Each distinct subterm is rebuilt once, and one that leaf leaves
+    unchanged comes back as the same object.
     """
-    return fold(roots, leaf, _rebuilt)
+    return fold(roots, leaf, lambda m, left, right: Mul(left, right))
 
 
 def steps(terms: Sequence[Term]) -> tuple[list, list[int]]:
@@ -182,16 +176,16 @@ def steps(terms: Sequence[Term]) -> tuple[list, list[int]]:
 
     A step is a variable name or the pair of the earlier steps it
     multiplies, so evaluating the steps in order evaluates every term.
-    Equal subterms share one step, and a subterm object shared between
-    terms is walked once.
+    Equal subterms are one node, so they share one step.
     """
-    index: dict = {}  # step -> its position, in the order first met
-    roots = fold(
-        terms,
-        lambda v: index.setdefault(v.name, len(index)),
-        lambda m, left, right: index.setdefault((left, right), len(index)),
-    )
-    return list(index), roots
+    prog: list = []
+
+    def push(step) -> int:
+        prog.append(step)
+        return len(prog) - 1
+
+    roots = fold(terms, lambda v: push(v.name), lambda m, left, right: push((left, right)))
+    return prog, roots
 
 
 def shape_of(t: Term) -> Term:
@@ -260,8 +254,16 @@ def _parse_error(text: str, token: int, message: str) -> ParseError:
     return ParseError(message, match.start(1))
 
 
+# shared subterms let a term's text be exponentially longer than the term
+MAX_RENDER_LEAVES = 2**20
+
+
 def render_term(t: Term) -> str:
-    """Inverse of parse_term; outermost parentheses omitted."""
+    """Inverse of parse_term; outermost parentheses omitted.  Raises
+    ValueError for a term of more than MAX_RENDER_LEAVES leaves."""
+    leaves = fold([t], lambda v: 1, lambda m, left, right: left + right)[0]
+    if leaves > MAX_RENDER_LEAVES:
+        raise ValueError(f"{leaves} leaves exceed the render bound of {MAX_RENDER_LEAVES}")
     out = []
     stack: list = [t]
     while stack:

@@ -17,7 +17,9 @@ import numpy as np
 from termsep import gf2
 from termsep.terms import Term, steps, variables
 
-DEFAULT_TABLE_BITS = 16
+# to_cayley holds all 4^width table entries as Python ints: 45 MB at width
+# 10, and each further bit takes 4 times as much (about 180 GB at width 16)
+DEFAULT_TABLE_BITS = 10
 
 
 class DuplicateTargetError(ValueError):

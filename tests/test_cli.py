@@ -58,6 +58,25 @@ class TestUnify:
         result = runner.invoke(main, ["unify", "x*(", "y"])
         assert result.exit_code == 2
 
+    @staticmethod
+    def chain(n: int) -> list[str]:
+        """a1*(a2*(...*(an*y))) against (a0*a0)*((a1*a1)*(...*z)), which
+        binds ai to a term of 2**i leaves."""
+        s, t = "y", "z"
+        for i in range(n, 0, -1):
+            s = f"a{i}*({s})"
+        for i in range(n - 1, -1, -1):
+            t = f"(a{i}*a{i})*({t})"
+        return [s, t]
+
+    def test_chain_bindings_over_render_bound_refused(self, runner):
+        doc = run_json(runner, "separate", *self.chain(16))
+        assert doc["unifier"]["a16"].count("x") == 2**16
+        for command in ("unify", "separate"):
+            result = runner.invoke(main, [command, *self.chain(21)])
+            assert result.exit_code == 2 and result.stdout == ""
+            assert "exceed the render bound" in json.loads(result.stderr)["error"]
+
 
 class TestSeparate:
     def test_cover_pair(self, runner):
@@ -79,13 +98,14 @@ class TestSeparate:
         assert doc["cayley_csv"].splitlines()[0] == "4"
 
     def test_emit_table_null_above_table_bound(self, runner):
-        deep = "x*u"
-        for _ in range(17):
-            deep = f"({deep})*u"  # x sits 18 steps down the left spine
-        doc = run_json(runner, "separate", "x*y", deep, "--emit-table")
-        assert doc["construction"] == "cover"
-        assert len(doc["groupoid"]["indices"]) == 18
-        assert doc["cayley_csv"] is None
+        for width in (11, 18):
+            deep = "x*u"
+            for _ in range(width - 1):
+                deep = f"({deep})*u"  # x sits `width` steps down the left spine
+            doc = run_json(runner, "separate", "x*y", deep, "--emit-table")
+            assert doc["construction"] == "cover"
+            assert len(doc["groupoid"]["indices"]) == width
+            assert doc["cayley_csv"] is None
 
     def test_budget_flag(self, runner):
         doc = run_json(

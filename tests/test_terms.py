@@ -1,5 +1,6 @@
 import gc
 import itertools
+import pickle
 import time
 
 import pytest
@@ -148,7 +149,7 @@ class TestEquality:
 
     def test_deep_combs_built_apart(self):
         a, b = self.comb(2000), self.comb(2000)
-        assert a is not b
+        assert a is b
         assert a == b and not a != b
         assert hash(a) == hash(b)
         assert a != self.comb(2000, last="z")
@@ -169,6 +170,26 @@ class TestEquality:
         assert Mul(Var("x"), Var("y")) != Var("x")
         assert Var("x") != Mul(Var("x"), Var("y"))
         assert Mul(Var("x"), Var("y")) != "x*y"
+
+
+class TestInterning:
+    def test_deep_comb_is_one_object_and_freed_when_dropped(self):
+        start = len(Mul._live)
+        # "deep" is under every node, so no node exists before the first comb
+        a = TestEquality.comb(100_000, last="deep")
+        assert len(Mul._live) == start + 100_000
+        b = TestEquality.comb(100_000, last="deep")
+        assert a is b and len(Mul._live) == start + 100_000
+        del a, b
+        assert len(Mul._live) == start
+
+    def test_immutable_and_pickled_as_itself(self):
+        t = parse_term("x*(y*x)")
+        with pytest.raises(AttributeError):
+            t.left = Var("y")
+        with pytest.raises(AttributeError):
+            del Var("x").name
+        assert t.left is Var("x") and pickle.loads(pickle.dumps(t)) is t
 
 
 class TestOccurrences:
