@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import click
 import numpy as np
@@ -37,12 +38,63 @@ from termsep.vecops import (
 )
 
 
+def _json_text(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), but a list or dict that
+    the document holds again at the same depth is encoded once: an
+    antiassoc document shares each certificate among many pairs, and json
+    encodes with an indent in pure Python.  Raises TypeError for a dict key
+    that is not a str, and for anything json cannot encode."""
+    chunks: list[str] = []
+    _json_chunks(obj, 0, chunks, {})
+    return "".join(chunks)
+
+
+def _json_chunks(o, depth: int, chunks: list[str], seen: dict) -> None:
+    """Append the text of o at this depth to chunks.  seen maps (id, depth)
+    of each container met so far to the span of chunks that holds its
+    text, or to that text once the container is met again."""
+    if isinstance(o, str):
+        chunks.append(encode_basestring_ascii(o))
+    elif o is None:
+        chunks.append("null")
+    elif o is True:
+        chunks.append("true")
+    elif o is False:
+        chunks.append("false")
+    elif isinstance(o, int):
+        chunks.append(int.__repr__(o))
+    elif isinstance(o, float):
+        chunks.append(json.dumps(o))
+    elif (id(o), depth) in seen:
+        text = seen[id(o), depth]
+        if isinstance(text, tuple):
+            text = seen[id(o), depth] = "".join(chunks[text[0] : text[1]])
+        chunks.append(text)
+    elif isinstance(o, (list, tuple, dict)):
+        start = len(chunks)
+        if isinstance(o, dict):
+            brackets = "{}"
+            items = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(o.items())]
+        else:
+            brackets = "[]"
+            items = [("", v) for v in o]
+        outer = "\n" + "  " * depth
+        chunks.append(brackets[0])
+        for i, (prefix, value) in enumerate(items):
+            chunks.append(("," if i else "") + outer + "  " + prefix)
+            _json_chunks(value, depth + 1, chunks, seen)
+        chunks.append(outer + brackets[1] if items else brackets[1])
+        seen[id(o), depth] = (start, len(chunks))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _emit(obj, fmt: str, text_lines=None):
     # the stream is named on each call: click.echo(file=None) caches the
     # current stdout in a WeakKeyDictionary whose value is the stream itself,
     # so a redirected stdout, and all it holds, would never be freed
     if fmt == "json":
-        click.echo(json.dumps(obj, indent=2, sort_keys=True), file=sys.stdout)
+        click.echo(_json_text(obj), file=sys.stdout)
     else:
         for line in text_lines if text_lines is not None else [json.dumps(obj)]:
             click.echo(line, file=sys.stdout)
@@ -147,6 +199,7 @@ def cmd_antiassoc(action, k, fmt, budget_evals):
         certs = synth.antiassociative_certificates(k)
     except ValueError as exc:
         _fail(str(exc), 2)
+    affine = {}  # pair position -> parity check verdict
     brute = {}  # pair position -> verdict, for factors that fit the budget
     over_budget = tables = 0
     if action == "verify":
@@ -155,27 +208,27 @@ def cmd_antiassoc(action, k, fmt, budget_evals):
         for i, (_, cert) in enumerate(certs):
             groups.setdefault(cert.groupoid, []).append(i)
         for G, members in groups.items():
+            pairs = [certs[i][0] for i in members]
+            lams = [certs[i][1].lam for i in members]
+            affine.update(zip(members, verify.check_parity_functionals(G, pairs, lams)))
             if G.order**k > budget_evals:
                 over_budget += len(members)
                 continue
-            pairs = [certs[i][0] for i in members]
             verdicts = separations(to_cayley(G), pairs, budget=budget_evals)
             brute.update(zip(members, verdicts))
             tables += 1
+    # terms are interned, so each distinct term is rendered once
+    distinct = dict.fromkeys(term for pair, _ in certs for term in pair)
+    texts = {term: render_term(term) for term in distinct}
     entries = []
     all_ok = True
     documents = {}  # id of a shared certificate -> its JSON object
     for i, ((s, t), cert) in enumerate(certs):
         if id(cert) not in documents:
             documents[id(cert)] = cert.to_json()
-        entry = {
-            "s": render_term(s),
-            "t": render_term(t),
-            "certificate": documents[id(cert)],
-        }
+        entry = {"s": texts[s], "t": texts[t], "certificate": documents[id(cert)]}
         if action == "verify":
-            affine_ok = verify.check_parity_functional(cert.groupoid, s, t, cert.lam)
-            entry["affine_ok"] = affine_ok
+            entry["affine_ok"] = affine_ok = affine[i]
             if i in brute:
                 entry["exhaustive_ok"] = brute[i].separated
                 affine_ok = affine_ok and brute[i].separated

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -83,19 +83,32 @@ def affine_separation_decision(G: VecGroupoid, s: Term, t: Term) -> AffineDecisi
     return AffineDecision(True, lam=lam)
 
 
+def check_parity_functionals(
+    G: VecGroupoid, pairs: Sequence[tuple[Term, Term]], lams: Sequence[frozenset[int]]
+) -> list[bool]:
+    """For each pair (s, t) and its register set lam: does lam sum to
+    constantly different values on s and t?  One program evaluates the
+    terms of every pair, so subterms the pairs share are evaluated once."""
+    prog, roots = steps([term for pair in pairs for term in pair])
+    names = [step for step in prog if isinstance(step, str)]
+    forms = program_rows(G, prog, roots, names)
+    # lam passes iff the sum of its rows of s + t is the constant 1 alone
+    one = 1 << (len(names) * G.width)
+    verdicts = []
+    for S, T, lam in zip(forms[::2], forms[1::2], lams, strict=True):
+        total = 0
+        for reg in lam:
+            j = G.position(reg)
+            total ^= S[j] ^ T[j]
+        verdicts.append(total == one)
+    return verdicts
+
+
 def check_parity_functional(
     G: VecGroupoid, s: Term, t: Term, lam: frozenset[int]
 ) -> bool:
     """Does the register set lam sum to constantly different values?"""
-    *_, D, d0 = _difference_system(G, s, t)
-    sel = 0
-    for reg in lam:
-        sel |= 1 << G.position(reg)
-    linear = 0
-    for i, row in enumerate(D.rows):
-        if (sel >> i) & 1:
-            linear ^= row
-    return not linear and (sel & d0).bit_count() % 2 == 1
+    return check_parity_functionals(G, [(s, t)], [lam])[0]
 
 
 def cross_check(

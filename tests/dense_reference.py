@@ -198,6 +198,36 @@ def random_compiled(rng: random.Random):
     return compile_opsum(op_sum(ops))
 
 
+def random_cross_checks(rng: random.Random):
+    """Endless (G, s, t) for comparing the affine decision with brute
+    force: G compiles a random sum of one or two ops and has order at
+    most 4, and s and t are random terms of depth at most 2 over x, y, z
+    and u."""
+    names = ["x", "y", "z", "u"]
+
+    def term_of_depth(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return Var(rng.choice(names))
+        return Mul(term_of_depth(depth - 1), term_of_depth(depth - 1))
+
+    while True:
+        alloc = RegisterAllocator()
+        ops = []
+        for _ in range(rng.randint(1, 2)):
+            p = "".join(rng.choice("lr") for _ in range(rng.randint(1, 2)))
+            m, n = rng.randint(0, 2), rng.randint(0, 2)
+            try:
+                alloc.reserve((m, n))
+                ops.append(basic_op(m, p, n, rng.random() < 0.5, alloc))
+                opsum = op_sum(ops)
+            except ValueError:
+                break
+        else:
+            G = compile_opsum(opsum)
+            if G.order <= 4:
+                yield G, term_of_depth(2), term_of_depth(2)
+
+
 def random_affine(rng: random.Random, width: int):
     """A general affine groupoid: dense A and B, about half their entries 1."""
 

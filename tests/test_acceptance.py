@@ -5,12 +5,14 @@ Each criterion also asserts its wall-clock budget.
 """
 
 import itertools
+import random
 import time
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from termsep.cayley import (
     deranged_groupoid,
     eval_cayley,
@@ -256,37 +258,8 @@ def test_criterion_08_k_antiassociative_builder(criterion):
 
 def test_criterion_09_oracle_equivalence(criterion):
     with criterion(9, "oracle equivalence", 120.0):
-        import random
-
-        from termsep.terms import Mul, Var
-
-        rng = random.Random(0)
-        names = ["x", "y", "z", "u"]
-
-        def random_term(depth):
-            if depth == 0 or rng.random() < 0.3:
-                return Var(rng.choice(names))
-            return Mul(random_term(depth - 1), random_term(depth - 1))
-
-        done = 0
-        while done < 500:
-            alloc = RegisterAllocator()
-            ops = []
-            for _ in range(rng.randint(1, 2)):
-                p = "".join(rng.choice("lr") for _ in range(rng.randint(1, 2)))
-                m, n = rng.randint(0, 2), rng.randint(0, 2)
-                try:
-                    alloc.reserve((m, n))
-                    ops.append(basic_op(m, p, n, rng.random() < 0.5, alloc))
-                    opsum = op_sum(ops)
-                except ValueError:
-                    break
-            else:
-                G = compile_opsum(opsum)
-                if G.order > 4:
-                    continue
-                assert cross_check(G, random_term(2), random_term(2))
-                done += 1
+        for G, s, t in itertools.islice(dense.random_cross_checks(random.Random(0)), 500):
+            assert cross_check(G, s, t)
         # enumerable instances from the construction criteria
         for s, t in itertools.combinations(enumerate_ordered_terms(4), 2):
             c = synth_cover(cover_witness_from_disagreement(s, t))

@@ -1,11 +1,17 @@
+import dataclasses
+import gc
 import io
 import json
 import weakref
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import dense_reference as dense
+from termsep import cli, synth
 from termsep.cli import main
 
 
@@ -158,6 +164,28 @@ class TestAntiassoc:
         )
         assert 0 < len(brute) < 91
 
+    def test_verify_reports_a_wrong_shared_lambda(self, runner, monkeypatch):
+        """One certificate that several pairs share gets a lambda that
+        fails: exactly those pairs read affine_ok false."""
+        certs = synth.antiassociative_certificates(5)
+        shares = Counter(id(cert) for _, cert in certs)
+        target = [cert for _, cert in certs if shares[id(cert)] > 1][-1]
+        G, pairs = target.groupoid, [pair for pair, cert in certs if cert is target]
+        # the first one-register change of lambda that fails on all its pairs
+        reg = next(
+            r for r in G.indices
+            if not any(dense.parity_ok(G, *pair, target.lam ^ {r}) for pair in pairs)
+        )
+        wrong = dataclasses.replace(target, lam=target.lam ^ {reg})
+        certs = [(pair, wrong if cert is target else cert) for pair, cert in certs]
+        monkeypatch.setattr(synth, "antiassociative_certificates", lambda k: certs)
+        doc = run_json(runner, "antiassoc", "verify", "-k", "5", "--budget-evals", "1024")
+        bad = [cert is wrong for _, cert in certs]
+        assert 1 < sum(bad) < len(certs)
+        assert [e["affine_ok"] for e in doc["certificates"]] == [not b for b in bad]
+        assert all(e.get("exhaustive_ok", True) for e in doc["certificates"])
+        assert doc["all_ok"] is False
+
     @pytest.mark.long
     def test_verify_k7(self, runner):
         doc = run_json(runner, "antiassoc", "verify", "-k", "7")
@@ -218,6 +246,96 @@ class TestDemo:
     def test_unknown_demo(self, runner):
         result = runner.invoke(main, ["demo", "nope"])
         assert result.exit_code != 0
+
+
+class TestJsonText:
+    """cli._json_text gives the text of json.dumps(obj, indent=2,
+    sort_keys=True), however the document shares its containers."""
+
+    DOCUMENTS = [
+        ["terms", "enumerate", "-k", "4"],
+        ["terms", "count", "-k", "5"],
+        ["unify", "(x*y)*(z*y)", "z*((x*y)*(x*x))"],
+        ["unify", "x", "x*x"],
+        ["separate", "x*y", "(x*u)*v"],
+        ["separate", "x*y", "y*x"],
+        ["separate", "x*(y*y)", "(y*(y*y))*x"],
+        ["separate", "(x*y)*(z*y)", "z*((y*y)*(x*x))", "--budget-candidates", "0"],
+        ["separate", "x*y", "(x*u)*v", "--emit-affine"],
+        ["separate", "x*y", "(x*u)*v", "--emit-table"],
+        ["separate", "x*y", "(x*u)*v", "--emit-table", "--emit-affine"],
+        *(["antiassoc", action, "-k", k] for k in "345" for action in ["build", "verify"]),
+        ["antiassoc", "build", "-k", "6"],
+        # the default budget brute-forces the width-4 factors of k = 6, about 20 s
+        ["antiassoc", "verify", "-k", "6", "--budget-evals", "262144"],
+        ["census", "-n", "2"],
+        ["census", "-n", "3"],
+        ["demo", "affine-example"],
+        ["demo", "deranged-product"],
+        ["demo", "cycle-example"],
+    ]
+
+    @pytest.mark.parametrize("args", DOCUMENTS, ids=" ".join)
+    def test_cli_document(self, runner, monkeypatch, args):
+        emitted = []
+        emit = cli._emit
+
+        def recording_emit(obj, fmt, text_lines=None):
+            emitted.append(obj)
+            emit(obj, fmt, text_lines)
+
+        monkeypatch.setattr(cli, "_emit", recording_emit)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        [obj] = emitted
+        assert result.output == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    def test_hand_made_documents(self):
+        shared = {"b": [1, (2, 3)], "a": []}
+        for obj in [
+            (1, "two", (3.5, None)),
+            [[], {}, ()],
+            {},
+            [],
+            "",
+            "naïve ☃ \U0001f600 \x00 \"quoted\" \\ \n\t",
+            {"é": "ü", "z": [True, False, None], "": 0},
+            [0.1, -0.0, 1e300, 2.5e-8, float("inf"), float("-inf"), float("nan")],
+            [10**30, -7, 0, True, False, None],
+            {"top": shared, "deeper": [shared, {"again": shared}], "same": shared},
+            [shared, shared, [shared, (shared,)]],
+            True,
+            None,
+            -3.25,
+        ]:
+            assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_encoding_leaves_no_reference_cycles(self):
+        # a cycle would keep every chunk of the document until the cycle
+        # collector runs, which raised the peak RSS of repeated runs
+        shared = {"b": [1, 2]}
+        doc = {"a": [shared, shared], "c": shared}
+        gc.collect()
+        gc.disable()
+        try:
+            cli._json_text(doc)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("key", [1, 2.5, True, None])
+    def test_keys_that_are_not_text_refused(self, key):
+        for obj in ({key: 2}, [{"a": {key: 0}}]):
+            with pytest.raises(TypeError):
+                cli._json_text(obj)
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, np.int64(1), b"bytes"])
+    def test_values_json_cannot_encode_refused(self, value):
+        for obj in (value, {"a": [value]}):
+            with pytest.raises(TypeError):
+                json.dumps(obj, indent=2, sort_keys=True)
+            with pytest.raises(TypeError):
+                cli._json_text(obj)
 
 
 class TestStreams:

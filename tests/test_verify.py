@@ -1,11 +1,17 @@
 import gc
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 import dense_reference as dense
-from termsep.synth import decide_finite_separability, find_cover_pair, synth_cover
+from termsep.synth import (
+    antiassociative_certificates,
+    decide_finite_separability,
+    find_cover_pair,
+    synth_cover,
+)
 from termsep.terms import Mul, Var, parse_term, render_term
 from termsep.vecops import (
     RegisterAllocator,
@@ -18,6 +24,7 @@ from termsep.vecops import (
 from termsep.verify import (
     affine_separation_decision,
     check_parity_functional,
+    check_parity_functionals,
     check_transfer_lemma,
     cross_check,
     lemma_harness,
@@ -100,6 +107,48 @@ class TestAgainstDense:
             if decision.separated:
                 assert check_parity_functional(G, s, t, decision.lam)
 
+    def test_batched_parity_check_on_every_k5_pair(self):
+        """Each k = 5 pair with its own lam and with every one-register
+        change of it, one batch per factor: the batched check gives the
+        dense check's verdicts, in order."""
+        groups: dict = {}
+        for pair, cert in antiassociative_certificates(5):
+            groups.setdefault(cert.groupoid, []).append((pair, cert.lam))
+        for G, members in groups.items():
+            changes = [None, *G.indices]
+            cases = [
+                (pair, lam if reg is None else lam ^ {reg})
+                for pair, lam in members
+                for reg in changes
+            ]
+            got = check_parity_functionals(G, [p for p, _ in cases], [lam for _, lam in cases])
+            assert got == [dense.parity_ok(G, *pair, lam) for pair, lam in cases]
+            for i in range(0, len(cases), len(changes)):
+                own, *changed = got[i : i + len(changes)]
+                assert own and not all(changed)
+        assert check_parity_functionals(G, [], []) == []
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_batched_parity_check(self, seed):
+        rng = random.Random(400 + seed)
+        passed = 0
+        for G in dense.random_groupoids(seed, 40):
+            pairs, lams = [], []
+            for _ in range(6):
+                s = dense.random_term(rng, rng.randint(1, 6))
+                t = dense.random_term(rng, rng.randint(1, 6))
+                decision = affine_separation_decision(G, s, t)
+                if decision.separated and rng.random() < 0.5:
+                    lam = decision.lam
+                else:
+                    lam = frozenset(r for r in G.indices if rng.random() < 0.5)
+                pairs.append((s, t))
+                lams.append(lam)
+            got = check_parity_functionals(G, pairs, lams)
+            assert got == [dense.parity_ok(G, *pair, lam) for pair, lam in zip(pairs, lams)]
+            passed += sum(got)
+        assert 0 < passed < 6 * 41
+
     def test_decision_leaves_no_reference_cycles(self):
         G, s, t = dense.worked_example()
         gc.collect()
@@ -169,34 +218,8 @@ class TestCrossCheck:
     def test_random_trials(self, seed):
         """500 random (groupoid, pair) trials split over seeds: the affine
         decision and exhaustive table search always agree."""
-        rng = random.Random(seed)
-        names = ["x", "y", "z", "u"]
-
-        def random_term(depth):
-            if depth == 0 or rng.random() < 0.3:
-                return Var(rng.choice(names))
-            return Mul(random_term(depth - 1), random_term(depth - 1))
-
-        done = 0
-        while done < 50:
-            alloc = RegisterAllocator()
-            ops = []
-            for _ in range(rng.randint(1, 2)):
-                p = "".join(rng.choice("lr") for _ in range(rng.randint(1, 2)))
-                m, n = rng.randint(0, 2), rng.randint(0, 2)
-                try:
-                    alloc.reserve((m, n))
-                    ops.append(basic_op(m, p, n, rng.random() < 0.5, alloc))
-                    opsum = op_sum(ops)
-                except ValueError:
-                    break
-            else:
-                G = compile_opsum(opsum)
-                if G.order > 4:
-                    continue
-                s, t = random_term(2), random_term(2)
-                assert cross_check(G, s, t)
-                done += 1
+        for G, s, t in itertools.islice(dense.random_cross_checks(random.Random(seed)), 50):
+            assert cross_check(G, s, t)
 
 
 class TestTransferLemma:
