@@ -16,7 +16,6 @@ from termsep.terms import (
     shape_of,
     catalan,
     enumerate_ordered_terms,
-    leftmost_disagreement,
 )
 from termsep.cayley import (
     CayleyGroupoid,

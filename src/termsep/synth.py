@@ -11,22 +11,22 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from termsep.terms import (
+    Mul,
     Term,
+    Var,
     catalan,
     enumerate_ordered_terms,
     is_proper_prefix,
-    leftmost_disagreement,
     occurrences,
     render_term,
     var_key,
 )
-from termsep.unify import AbstractSeparability, decide_abstract_separability, unify
+from termsep.unify import AbstractSeparability, decide_abstract_separability
 from termsep.vecops import (
-    BasicOp,
     OpSum,
     RegisterAllocator,
     VecGroupoid,
@@ -65,24 +65,38 @@ class CoverWitness:
         return self.p[len(self.q) :]
 
 
+def _frontier(s: Term, t: Term):
+    """Walk s and t together over the positions both have.  At each
+    position q where one term has a leaf v, yield (q, side of the leaf, v,
+    the leaves of the other term below q with paths relative to q, left to
+    right).
+
+    Every pair of leaves, one in each term, where one path is a prefix of
+    the other is one such leaf and one entry of its list.  Each leaf is
+    yielded at most once and listed at most once, so the walk grows with
+    the number of leaves, not of pairs of leaves.
+    """
+    stack = [("", s, t)]
+    while stack:
+        q, a, b = stack.pop()
+        if isinstance(a, Var):
+            yield q, "s", a.name, occurrences(b)
+        if isinstance(b, Var):
+            yield q, "t", b.name, occurrences(a)
+        if isinstance(a, Mul) and isinstance(b, Mul):
+            stack += ((q + "r", a.right, b.right), (q + "l", a.left, b.left))
+
+
 def find_cover_pair(s: Term, t: Term) -> Optional[CoverWitness]:
     """Smallest witness (variable, then q length, then lexicographic)."""
-    occ = {"s": occurrences(s), "t": occurrences(t)}
     best = None
-    for path_s, name in occ["s"]:
-        for path_t, name_t in occ["t"]:
-            if name != name_t:
-                continue
-            cand = None
-            if is_proper_prefix(path_t, path_s):
-                cand = CoverWitness(name, "t", path_t, "s", path_s)
-            elif is_proper_prefix(path_s, path_t):
-                cand = CoverWitness(name, "s", path_s, "t", path_t)
-            if cand is None:
-                continue
-            key = (var_key(cand.variable), len(cand.q), cand.q, cand.p)
-            if best is None or key < best[0]:
-                best = (key, cand)
+    for q, side, name, below in _frontier(s, t):
+        # leaf paths in left-to-right order are in lexicographic order, so
+        # the first occurrence of name strictly below q gives the least p
+        w = next((w for w, v in below if v == name and w), None)
+        key = (var_key(name), len(q), q)
+        if w is not None and (best is None or key < best[0]):
+            best = (key, CoverWitness(name, side, q, _flip(side), q + w))
     return best[1] if best else None
 
 
@@ -191,6 +205,20 @@ class CycleWitness:
                 raise ValueError(f"p[{i}] is an initial substring of p[{j}]")
 
 
+def _cycle_edges(s: Term, t: Term) -> dict[tuple[str, str], list[tuple[str, str, str]]]:
+    """(u, d) -> each (side, path of u, w) where u occurs in side at that
+    path and d, another variable, in the other term at path + w; each list
+    sorted by (|path|, path, |w|, w, side)."""
+    edges: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
+    for path_u, side, name_u, below in _frontier(s, t):
+        for w, name_d in below:
+            if name_d != name_u:
+                edges.setdefault((name_u, name_d), []).append((side, path_u, w))
+    for options in edges.values():
+        options.sort(key=lambda e: (len(e[1]), e[1], len(e[2]), e[2], e[0]))
+    return edges
+
+
 def find_cycle(s: Term, t: Term) -> Optional[CycleWitness]:
     """Minimum-length cycle (k >= 2) through some strict above-edge.
 
@@ -198,18 +226,7 @@ def find_cycle(s: Term, t: Term) -> Optional[CycleWitness]:
     another variable in the other term whose path it prefixes.  Length-1
     cycles are covers and belong to find_cover_pair.
     """
-    occ = {"s": occurrences(s), "t": occurrences(t)}
-    edges: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
-    for side in ("s", "t"):
-        other = _flip(side)
-        for path_u, name_u in occ[side]:
-            for path_d, name_d in occ[other]:
-                if name_u == name_d or not path_d.startswith(path_u):
-                    continue
-                entry = (side, path_u, path_d[len(path_u) :])
-                edges.setdefault((name_u, name_d), []).append(entry)
-    for options in edges.values():
-        options.sort(key=lambda e: (len(e[1]), e[1], len(e[2]), e[2], e[0]))
+    edges = _cycle_edges(s, t)
     adjacency: dict[str, list[str]] = {}
     for (a, b) in edges:
         adjacency.setdefault(a, []).append(b)
@@ -306,16 +323,6 @@ def synth_cycle(witness: CycleWitness) -> Certificate:
     return Certificate(opsum, compile_opsum(opsum), "cycle", frozenset(range(witness.k)))
 
 
-def cover_witness_from_disagreement(s: Term, t: Term) -> CoverWitness:
-    """Cover witness for distinct ordered terms via their leftmost
-    disagreeing variable, whose paths are always prefix-related."""
-    m, path_s, path_t = leftmost_disagreement(s, t)
-    name = f"x{m}"
-    if is_proper_prefix(path_s, path_t):
-        return CoverWitness(name, "s", path_s, "t", path_t)
-    return CoverWitness(name, "t", path_t, "s", path_s)
-
-
 def antiassociative_certificates(k: int) -> list[tuple[tuple[Term, Term], Certificate]]:
     """One cover certificate per pair of distinct ordered k-ary terms.
 
@@ -332,7 +339,7 @@ def antiassociative_certificates(k: int) -> list[tuple[tuple[Term, Term], Certif
     shared: dict[tuple[str, str], Certificate] = {}
     out = []
     for s, t in itertools.combinations(enumerate_ordered_terms(k), 2):
-        witness = cover_witness_from_disagreement(s, t)
+        witness = find_cover_pair(s, t)
         key = (witness.q, witness.w)  # all that synth_cover reads
         if key not in shared:
             shared[key] = synth_cover(witness)

@@ -311,26 +311,3 @@ def _enum_range(lo: int, hi: int) -> tuple[Term, ...]:
                 out.append(Mul(left, right))
     return tuple(out)
 
-
-def is_ordered_term(t: Term) -> bool:
-    names = [name for _, name in occurrences(t)]
-    return names == [f"x{i}" for i in range(1, len(names) + 1)]
-
-
-def leftmost_disagreement(s: Term, t: Term) -> tuple[int, str, str]:
-    """First variable position where two ordered terms place paths apart.
-
-    Returns (m, path_in_s, path_in_t) for the 1-based index m of the
-    leftmost variable whose paths differ.  One path is always a proper
-    initial substring of the other.
-    """
-    if not (is_ordered_term(s) and is_ordered_term(t)):
-        raise ValueError("inputs must be ordered terms on x1..xk")
-    occ_s = occurrences(s)
-    occ_t = occurrences(t)
-    if len(occ_s) != len(occ_t):
-        raise ValueError("ordered terms must share one variable list")
-    for i, ((ps, _), (pt, _)) in enumerate(zip(occ_s, occ_t)):
-        if ps != pt:
-            return i + 1, ps, pt
-    raise ValueError("terms are equal")

@@ -8,7 +8,7 @@ rules themselves decide unifiability regardless of order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from termsep.terms import Mul, Term, Var, fold, render_term, replace_leaves, variables

@@ -23,8 +23,8 @@ from termsep.cayley import (
 from termsep.census import census, census_pruned, census_unpruned
 from termsep.synth import (
     build_k_antiassociative,
-    cover_witness_from_disagreement,
     cycle_opsum,
+    find_cover_pair,
     find_cycle,
     search_separator,
     synth_cover,
@@ -136,13 +136,13 @@ def test_criterion_03_affine_example(criterion):
 def test_criterion_04_cover_synthesis(criterion):
     with criterion(4, "cover synthesis", 30.0):
         t1, t2 = enumerate_ordered_terms(3)
-        cert = synth_cover(cover_witness_from_disagreement(t1, t2))
+        cert = synth_cover(find_cover_pair(t1, t2))
         table = to_cayley(cert.groupoid)
         assert table.n == 4
         assert is_k_antiassociative(table, 3).antiassociative
         for k in (3, 4, 5):
             for s, t in itertools.combinations(enumerate_ordered_terms(k), 2):
-                c = synth_cover(cover_witness_from_disagreement(s, t))
+                c = synth_cover(find_cover_pair(s, t))
                 assert affine_separation_decision(c.groupoid, s, t).separated
                 if k <= 4:
                     assert separates_exhaustive(to_cayley(c.groupoid), s, t).separated
@@ -262,7 +262,7 @@ def test_criterion_09_oracle_equivalence(criterion):
             assert cross_check(G, s, t)
         # enumerable instances from the construction criteria
         for s, t in itertools.combinations(enumerate_ordered_terms(4), 2):
-            c = synth_cover(cover_witness_from_disagreement(s, t))
+            c = synth_cover(find_cover_pair(s, t))
             assert cross_check(c.groupoid, s, t)
         s7, t7 = parse_term("(x*y)*(z*y)"), parse_term("z*((y*y)*(x*x))")
         assert cross_check(compile_opsum(_hand_built_seed()), s7, t7)

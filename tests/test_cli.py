@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import io
 import json
 import weakref
@@ -192,6 +193,24 @@ class TestAntiassoc:
         assert doc["factors"] == 8646
         assert doc["all_ok"] is True
         assert sum("exhaustive_ok" in e for e in doc["certificates"]) > 0
+
+    @pytest.mark.parametrize(
+        "args, sha256",
+        [
+            (
+                ["build", "-k", "6"],
+                "3fdacc7d3f2f0b89d30fb028325d38f25e079e8cd2f4d87bc60d29e41caf5f46",
+            ),
+            (
+                ["verify", "-k", "6", "--budget-evals", "262144"],
+                "7bf6e62b830703318d077216b79fb9616202ab5da9abe3d77ae54f825ffdf13a",
+            ),
+        ],
+    )
+    def test_k6_documents_pinned(self, runner, args, sha256):
+        result = runner.invoke(main, ["antiassoc", *args])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == sha256
 
     def test_k2_rejected(self, runner):
         result = runner.invoke(main, ["antiassoc", "build", "-k", "2"])

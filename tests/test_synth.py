@@ -1,11 +1,14 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cover_reference as ref
+import dense_reference as dense
 from termsep import synth
 from termsep.cayley import is_k_antiassociative, separates_exhaustive
 from termsep.synth import (
@@ -14,7 +17,6 @@ from termsep.synth import (
     MAX_ANTIASSOC_PAIRS,
     antiassociative_certificates,
     build_k_antiassociative,
-    cover_witness_from_disagreement,
     cycle_opsum,
     decide_finite_separability,
     find_cover_pair,
@@ -23,7 +25,7 @@ from termsep.synth import (
     synth_cover,
     synth_cycle,
 )
-from termsep.terms import enumerate_ordered_terms, parse_term, render_term
+from termsep.terms import Mul, Var, enumerate_ordered_terms, parse_term, render_term
 from termsep.vecops import compile_opsum, to_cayley
 from termsep.verify import affine_separation_decision, check_parity_functional
 
@@ -184,6 +186,55 @@ class TestSynthCycle:
         assert affine_separation_decision(cert.groupoid, s, t).separated
 
 
+class TestOneWalk:
+    """find_cover_pair and the cycle edges read one walk over both terms;
+    they must give what the all-pairs loops of cover_reference give."""
+
+    @staticmethod
+    def same_as_reference(pairs):
+        for s, t in pairs:
+            assert find_cover_pair(s, t) == ref.cover_pair(s, t), (s, t)
+            assert synth._cycle_edges(s, t) == ref.cycle_edges(s, t), (s, t)
+
+    def test_sweep_sample(self):
+        terms = ref.sweep_terms()
+        rng = random.Random(11)
+        self.same_as_reference(
+            (rng.choice(terms), rng.choice(terms)) for _ in range(3000)
+        )
+
+    def test_random_repeated_variables(self):
+        rng = random.Random(12)
+        self.same_as_reference(
+            (
+                dense.random_term(rng, rng.randint(1, 12), names),
+                dense.random_term(rng, rng.randint(1, 12), names),
+            )
+            for names in ("xy", "xyz", "xyzuv")
+            for _ in range(700)
+        )
+
+    @pytest.mark.parametrize("k", range(3, 7))
+    def test_ordered_pairs(self, k):
+        self.same_as_reference(itertools.permutations(enumerate_ordered_terms(k), 2))
+
+    @pytest.mark.long
+    def test_full_sweep(self):
+        self.same_as_reference(itertools.combinations(ref.sweep_terms(), 2))
+
+    def test_deep_combs_are_linear(self):
+        # x*(x*(...)) against ((x*x)*x)*...: all-pairs loops compare 10^8
+        # pairs of leaves here
+        depth = 10_000
+        x = right = left = Var("x")
+        for _ in range(depth):
+            right, left = Mul(x, right), Mul(left, x)
+        start = time.perf_counter()
+        w = find_cover_pair(right, left)
+        assert time.perf_counter() - start < 2.0
+        assert (w.variable, w.shallow_side, w.q, w.p) == ("x", "s", "l", "l" * depth)
+
+
 class TestBuildKAntiassociative:
     def test_k3(self):
         G, certs = build_k_antiassociative(3)
@@ -225,7 +276,7 @@ class TestBuildKAntiassociative:
     def test_equal_witnesses_share_one_certificate(self):
         certs = antiassociative_certificates(6)
         for (s, t), cert in certs:
-            assert cert == synth_cover(cover_witness_from_disagreement(s, t))
+            assert cert == synth_cover(ref.leftmost_cover(s, t))
         assert len({id(cert) for _, cert in certs}) == len({cert for _, cert in certs}) == 42
 
     def test_groupoid_is_the_sum_of_the_certificates(self):

@@ -6,6 +6,8 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+import cover_reference as ref
+from termsep.synth import find_cover_pair
 from termsep.terms import (
     InvalidPathError,
     Mul,
@@ -16,7 +18,6 @@ from termsep.terms import (
     enumerate_ordered_terms,
     fold,
     is_proper_prefix,
-    leftmost_disagreement,
     occurrences,
     parse_term,
     render_term,
@@ -313,29 +314,31 @@ class TestOrderedTerms:
 
 
 class TestLeftmostDisagreement:
+    """The paper's lemma: two distinct ordered terms have a leftmost
+    variable x_m whose paths differ, and one of its two paths is a proper
+    prefix of the other.  find_cover_pair finds exactly that cover."""
+
+    @staticmethod
+    def disagreement(s, t):
+        """(m, path of x_m in s, path in t) from find_cover_pair's witness."""
+        w = find_cover_pair(s, t)
+        paths = {w.shallow_side: w.q, w.deep_side: w.p}
+        return int(w.variable[1:]), paths["s"], paths["t"]
+
     def test_t1_t2(self):
         t1, t2, t3, _, t5 = enumerate_ordered_terms(4)
-        assert leftmost_disagreement(t1, t2) == (1, "lll", "ll")
-        assert leftmost_disagreement(t3, t5) == (1, "ll", "l")
+        assert self.disagreement(t1, t2) == (1, "lll", "ll")
+        assert self.disagreement(t3, t5) == (1, "ll", "l")
 
     def test_associativity_pair(self):
         s, t = enumerate_ordered_terms(3)
-        assert leftmost_disagreement(s, t) == (1, "ll", "l")
+        assert self.disagreement(s, t) == (1, "ll", "l")
 
-    def test_equal_rejected(self):
+    def test_equal_terms_have_no_cover(self):
         t = enumerate_ordered_terms(3)[0]
-        with pytest.raises(ValueError):
-            leftmost_disagreement(t, t)
+        assert find_cover_pair(t, t) is None
 
-    def test_non_ordered_rejected(self):
-        with pytest.raises(ValueError):
-            leftmost_disagreement(parse_term("x*y"), parse_term("y*x"))
-
-    @pytest.mark.parametrize("k", range(3, 7))
+    @pytest.mark.parametrize("k", range(3, 8))
     def test_proper_prefix_property_exhaustive(self, k):
         for s, t in itertools.combinations(enumerate_ordered_terms(k), 2):
-            m, ps, pt = leftmost_disagreement(s, t)
-            assert is_proper_prefix(ps, pt) or is_proper_prefix(pt, ps)
-            # agreement before m, straight from the occurrence lists
-            for i in range(m - 1):
-                assert occurrences(s)[i][0] == occurrences(t)[i][0]
+            assert find_cover_pair(s, t) == ref.leftmost_cover(s, t)
