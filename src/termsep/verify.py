@@ -4,11 +4,18 @@ Two terms evaluated in an affine groupoid are affine maps of their
 variables; they coincide somewhere iff the difference system D.v = d0 is
 solvable.  When it is not, a parity functional lam with lam.D = 0 and
 lam.d0 = 1 certifies separation.
+
+The decision builds D from every register's row over all the variables.
+The parity check builds no system: it pulls lam back through the terms
+from the roots to the variables, holding at each subterm the functional
+reaches only the registers it reads there, and so stays independent of
+the decision and of gf2.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -87,21 +94,55 @@ def check_parity_functionals(
     G: VecGroupoid, pairs: Sequence[tuple[Term, Term]], lams: Sequence[frozenset[int]]
 ) -> list[bool]:
     """For each pair (s, t) and its register set lam: does lam sum to
-    constantly different values on s and t?  One program evaluates the
-    terms of every pair, so subterms the pairs share are evaluated once."""
+    constantly different values on s and t?
+
+    The functional lam . (s + t) is pulled back through one program of
+    the terms of every pair, from the roots down.  At a product step,
+    f . (X.l + Y.r + c) = (f.X) . l + (f.Y) . r + f . c, so f passes to
+    the factors as f.X and f.Y and adds the parity of f & c to the
+    constant.  lam passes iff no variable is reached and the constant is
+    1.  The pairs go down together, pair p as bit p of one int per step
+    and register.  Steps are taken highest first, so each step has its
+    parents' shares before it passes its own on, and only the steps some
+    functional reaches do any work.
+    """
     prog, roots = steps([term for pair in pairs for term in pair])
-    names = [step for step in prog if isinstance(step, str)]
-    forms = program_rows(G, prog, roots, names)
-    # lam passes iff the sum of its rows of s + t is the constant 1 alone
-    one = 1 << (len(names) * G.width)
-    verdicts = []
-    for S, T, lam in zip(forms[::2], forms[1::2], lams, strict=True):
-        total = 0
-        for reg in lam:
-            j = G.position(reg)
-            total ^= S[j] ^ T[j]
-        verdicts.append(total == one)
-    return verdicts
+    # per step, None or {register j: the pairs whose functional reads j}
+    pulled: list = [None] * len(prog)
+    for p, (s, t, lam) in enumerate(zip(roots[::2], roots[1::2], lams, strict=True)):
+        js = [G.position(reg) for reg in lam]
+        for root in (s, t):
+            if pulled[root] is None:
+                pulled[root] = defaultdict(int)
+            for j in js:
+                pulled[root][j] ^= 1 << p
+    sources, cbits = G.sources, G.cbits
+    constant = reached = 0
+    for step in range(len(prog) - 1, -1, -1):
+        f = pulled[step]
+        if f is None:
+            continue
+        pulled[step] = None
+        factors = prog[step]
+        if isinstance(factors, str):
+            for F in f.values():
+                reached |= F
+            continue
+        for factor in factors:
+            if pulled[factor] is None:
+                pulled[factor] = defaultdict(int)
+        left, right = pulled[factors[0]], pulled[factors[1]]
+        for i, F in f.items():
+            if F:
+                if (cbits >> i) & 1:
+                    constant ^= F
+                xs, ys = sources[i]
+                for j in xs:
+                    left[j] ^= F
+                for j in ys:
+                    right[j] ^= F
+    passed = constant & ~reached
+    return [bool((passed >> p) & 1) for p in range(len(lams))]
 
 
 def check_parity_functional(

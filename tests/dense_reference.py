@@ -181,6 +181,16 @@ def random_term(rng: random.Random, leaves: int, names: str = "xyz") -> Term:
     return Mul(random_term(rng, k, names), random_term(rng, leaves - k, names))
 
 
+def random_dag(rng: random.Random, products: int, names: str = "xyz") -> Term:
+    """A term built by multiplying random earlier ones, so its subterms
+    are shared: `products` products over the variables, at most 2**products
+    leaves."""
+    pool = [Var(name) for name in names]
+    for _ in range(products):
+        pool.append(Mul(rng.choice(pool), rng.choice(pool)))
+    return pool[-1]
+
+
 def random_compiled(rng: random.Random):
     """compile_opsum of a random duplicate-free sum of up to three ops."""
     alloc = RegisterAllocator()

@@ -1,13 +1,17 @@
 import gc
 import itertools
 import pickle
+import random
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 import cover_reference as ref
+import dense_reference as dense
 from termsep.synth import find_cover_pair
+from termsep.unify import unify
+from test_unify import chain_pair
 from termsep.terms import (
     InvalidPathError,
     Mul,
@@ -127,7 +131,31 @@ class TestFold:
         assert out[0].right is roots[0].right
 
 
+def steps_by_fold(terms):
+    """terms.steps as a fold with one callback per node, kept as the
+    reference for its loop."""
+    prog = []
+
+    def push(step):
+        prog.append(step)
+        return len(prog) - 1
+
+    roots = fold(terms, lambda v: push(v.name), lambda m, left, right: push((left, right)))
+    return prog, roots
+
+
 class TestSteps:
+    def test_same_program_as_the_fold(self):
+        sweep = ref.sweep_terms()
+        assert steps(sweep) == steps_by_fold(sweep)
+        assert steps(sweep[::-1]) == steps_by_fold(sweep[::-1])
+        rng = random.Random(7)
+        for _ in range(300):
+            roots = [dense.random_dag(rng, rng.randint(1, 12)) for _ in range(rng.randint(1, 4))]
+            roots += [rng.choice(roots)] + [r.left for r in roots if isinstance(r, Mul)]
+            assert steps(roots) == steps_by_fold(roots)
+        assert steps([]) == ([], [])
+
     def test_post_order_shared_between_terms(self):
         s, t = parse_term("x*(y*x)"), parse_term("(y*x)*x")
         assert steps([s, t]) == (["x", "y", (1, 0), (0, 2), (2, 0)], [3, 4])
@@ -239,6 +267,72 @@ class TestTreeWalks:
         text = render_term(t)
         assert text.startswith("(" * 9_999 + "x0*x1)*x2)")
         assert text.endswith(")*x9999)*x10000")
+
+
+def render_walk(t: Term) -> str:
+    """render_term as one walk over every leaf of the tree, shared
+    subterms spelled out each time: the reference for its splicing."""
+    out = []
+    stack: list = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Var):
+            out.append(item.name)
+        else:
+            stack += (")", item.right, "*", item.left, "(")
+    text = "".join(out)
+    return text[1:-1] if isinstance(t, Mul) else text
+
+
+class TestRenderShared:
+    def test_binding_chains(self):
+        s, t = chain_pair(19)
+        bindings = unify(s, t).substitution
+        assert len(bindings) == 20
+        for term in bindings.values():
+            assert render_term(term) == render_walk(term)
+        assert render_term(bindings["a19"]).count("a0") == 2**19
+
+    def test_random_dags_and_sweep_terms(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            t = dense.random_dag(rng, rng.randint(1, 14))
+            assert render_term(t) == render_walk(t)
+            assert parse_term(render_term(t)) is t
+        for t in ref.sweep_terms():
+            assert render_term(t) == render_walk(t)
+
+    def test_deep_combs(self):
+        x = left = right = Var("x")
+        for _ in range(20_000):
+            left, right = Mul(left, x), Mul(x, right)
+        both = Mul(left, Mul(right, left))
+        for t in (left, right, both):
+            assert render_term(t) == render_walk(t)
+
+    def test_render_bound(self):
+        t = Var("x")
+        for _ in range(20):
+            t = Mul(t, t)
+        # 21 distinct subterms: each is rendered once (the walk over all
+        # 2**21 - 1 nodes takes about 2 s)
+        start = time.perf_counter()
+        assert len(render_term(t)) == 2**20 + (2**20 - 1) * 3 - 2
+        assert time.perf_counter() - start < 0.5
+        with pytest.raises(ValueError, match="1048577 leaves exceed the render bound"):
+            render_term(Mul(t, Var("y")))
+
+    def test_leaves_no_reference_cycles(self):
+        t = dense.random_dag(random.Random(3), 12)
+        gc.collect()
+        gc.disable()
+        try:
+            render_term(t)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSubterm:

@@ -1,11 +1,13 @@
 import gc
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
 
 import dense_reference as dense
+import parity_reference
 from termsep.synth import (
     antiassociative_certificates,
     decide_finite_separability,
@@ -169,6 +171,74 @@ class TestAgainstDense:
         assert result.to_json()["groupoid"] == {
             "indices": [0, 1], "A": [[0, 1], [0, 0]], "B": [[0, 0], [0, 1]], "c": [0, 1],
         }
+
+
+class TestPullback:
+    """The pullback gives the forward check's verdicts, which build every
+    register's row over all the variables at every step."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_pairs_sharing_subterms(self, seed):
+        """t is built from subterms of s, and some pairs repeat a term, so
+        the pairs' functionals meet at shared steps; each lam is the
+        decision's or a random one, so both verdicts occur."""
+        rng = random.Random(500 + seed)
+        verdicts = set()
+        for G in dense.random_groupoids(seed, 30):
+            pairs, lams = [], []
+            for _ in range(8):
+                s = dense.random_dag(rng, rng.randint(1, 8))
+                parts = [s, s.left, s.right] if isinstance(s, Mul) else [s]
+                if rng.random() < 0.2:
+                    t = rng.choice(parts)
+                else:
+                    t = Mul(rng.choice(parts), dense.random_dag(rng, rng.randint(0, 4)))
+                    if rng.random() < 0.5:
+                        t = Mul(t.right, t.left)
+                decision = affine_separation_decision(G, s, t)
+                if decision.separated and rng.random() < 0.7:
+                    lam = decision.lam
+                else:
+                    lam = frozenset(r for r in G.indices if rng.random() < 0.5)
+                pairs.append((s, t))
+                lams.append(lam)
+            want = parity_reference.check_parity_functionals(G, pairs, lams)
+            assert check_parity_functionals(G, pairs, lams) == want
+            assert [check_parity_functional(G, *pair, lam) for pair, lam in zip(pairs, lams)] == want
+            verdicts.update(want)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("k", range(3, 8))
+    def test_every_factor_group(self, k):
+        """Each pair of every factor group of the k-antiassociative
+        groupoid, with its own lam and with each one-register change of
+        it, in one batch per factor."""
+        groups: dict = {}
+        for pair, cert in antiassociative_certificates(k):
+            groups.setdefault(cert.groupoid, []).append((pair, cert.lam))
+        for G, members in groups.items():
+            pairs = [pair for pair, _ in members for _ in range(G.width + 1)]
+            lams = [lam ^ change for _, lam in members for change in [set(), *({r} for r in G.indices)]]
+            got = check_parity_functionals(G, pairs, lams)
+            assert got == parity_reference.check_parity_functionals(G, pairs, lams)
+            assert all(got[:: G.width + 1])
+
+    def test_width_2000_cover_certificate(self):
+        """x*(x*(...)) against ((x*x)*...)*x, both of depth 2,000: the
+        cover is as wide as the combs are deep.  The forward check builds
+        2,000 rows of 2,000 bits at each of the 4,000 steps."""
+        x = right = left = Var("x")
+        for _ in range(2000):
+            right, left = Mul(x, right), Mul(left, x)
+        result = decide_finite_separability(right, left)
+        assert result.construction == "cover"
+        G, lam = result.certificate.groupoid, result.certificate.lam
+        assert G.width == 2000
+        start = time.perf_counter()
+        assert check_parity_functional(G, right, left, lam)
+        assert time.perf_counter() - start < 1.0
+        assert not check_parity_functional(G, right, left, lam ^ {G.indices[-1]})
+        assert not check_parity_functional(G, right, right, lam)
 
 
 class TestDeepTerms:
