@@ -1,9 +1,16 @@
 """Explicit finite groupoids as n-by-n operation tables.
 
-Brute force has one engine, separations: it checks many term pairs
-against one table in a single walk over the assignments, evaluating each
-distinct subterm once per block of assignments for all the pairs.  The
-walk enumerates assignments in lexicographic order over the canonical
+Brute force has two engines with one contract.  separations checks many
+term pairs against one table in a single walk over the assignments,
+evaluating each distinct subterm once per block of assignments for all
+the pairs.  affine_separations checks them against an affine groupoid
+over GF(2) (a vecops.VecGroupoid) without building its table: it
+bit-slices the walk, holding each register of each subterm as one int
+with a bit per assignment of the block, so a product is a few XORs of
+whole ints per register (Biham, "A Fast New DES Implementation in
+Software", FSE 1997).  Its verdicts, counterexamples and budget error
+are those of separations on vecops.to_cayley of the groupoid.  Both
+walks enumerate assignments in lexicographic order over the canonical
 variable order (see terms.variables), so the first counterexample
 reported for a pair is reproducible.  separates_exhaustive is the
 one-pair case and is_k_antiassociative one call over all pairs of
@@ -12,13 +19,17 @@ ordered terms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from termsep.terms import Term, Var, steps, var_key
+
+if TYPE_CHECKING:
+    from termsep.vecops import VecGroupoid
 
 DEFAULT_EVAL_BUDGET = 2**26
 # assignments evaluated at once: for orders up to 256 a block's values take
@@ -220,6 +231,138 @@ def separations(
         undecided = []
         for pair in active:
             verdicts[pair] = counterexample(pair, fixed, lo)
+            if verdicts[pair] is None:
+                undecided.append(pair)
+        active = undecided
+    return [v if v is not None else SeparationVerdict(True) for v in verdicts]
+
+
+@functools.cache
+def _bit_patterns(bits: int) -> tuple[int, ...]:
+    """Per b < bits, the int of 2**bits bits whose bit j is bit b of j,
+    built by doubling a run of 2**b zeros and 2**b ones."""
+    out = []
+    for b in range(bits):
+        run = 1 << b
+        pattern, length = ((1 << run) - 1) << run, 2 * run
+        while length < 1 << bits:
+            pattern |= pattern << length
+            length *= 2
+        out.append(pattern)
+    return tuple(out)
+
+
+def affine_separations(
+    G: "VecGroupoid",
+    pairs: Sequence[tuple[Term, Term]],
+    budget: int = DEFAULT_EVAL_BUDGET,
+) -> list[SeparationVerdict]:
+    """separations(to_cayley(G), pairs, budget), bit-sliced over G's rows.
+
+    An assignment of the width-m groupoid to the variables is an integer
+    of m bits per variable, the first variable highest; component k of a
+    value is its bit m-1-k, as in to_cayley, so assignments in numeric
+    order are in lexicographic order.  A block holds the assignments
+    that differ in their low bits only, at most _CHUNK of them, and each
+    register of each distinct subterm is one int with a bit per
+    assignment of the block, kept in a slot of one list.  A low
+    assignment bit is a fixed pattern of the block and a high one is 0
+    or all ones.  Register r of a product is the XOR of the left
+    factor's registers in xrows[r], the right factor's in yrows[r], and
+    all ones where cbits has bit r: the products compile once to a list
+    of slot copies and XORs, run once per block.  A subterm whose
+    variables own no high bit is evaluated once per call.  A pair is
+    separated in a block when, for every assignment, some register of s
+    differs from that of t; the lowest assignment where none does is its
+    counterexample, and the pair is not checked again.
+    """
+    if not pairs:
+        return []
+    prog, roots = steps([term for pair in pairs for term in pair])
+    names = sorted((step for step in prog if isinstance(step, str)), key=var_key)
+    m, n = G.width, G.order
+    total = n ** len(names)
+    if total > budget:
+        raise BudgetExceededError(f"{total} assignments exceed budget {budget}")
+    nbits = m * len(names)
+    low = min(nbits, _CHUNK.bit_length() - 1)
+    ones = (1 << (1 << low)) - 1
+    patterns = _bit_patterns(low)
+    # step i keeps register r in slot m*i + r; two last slots hold 0 and ones
+    zero, full = m * len(prog), m * len(prog) + 1
+    regs = [0] * (full + 1)
+    regs[full] = ones
+    rank = {name: i for i, name in enumerate(names)}
+    masks: list[int] = []  # per step, a bit per variable it holds
+    high = []  # per variable register above the block's bits: slot, bit
+    for i, step in enumerate(prog):
+        if isinstance(step, str):
+            masks.append(1 << rank[step])
+            for k in range(m):
+                pos = m * (len(names) - rank[step]) - 1 - k
+                if pos < low:
+                    regs[m * i + k] = patterns[pos]
+                else:
+                    high.append((m * i + k, pos - low))
+        else:
+            masks.append(masks[step[0]] | masks[step[1]])
+    varying = 0
+    for slot, _ in high:
+        varying |= masks[slot // m]
+
+    def compile_products(plan) -> list[tuple[int, int, bool]]:
+        """(slot, source, xor): copy the source into the slot, or XOR it in."""
+        out = []
+        for i in plan:
+            if isinstance(prog[i], str):
+                continue
+            left, right = (m * j for j in prog[i])
+            for r, (xs, ys) in enumerate(G.sources):
+                sources = [left + j for j in xs] + [right + j for j in ys]
+                sources += [full] * ((G.cbits >> r) & 1)
+                out.append((m * i + r, sources[0] if sources else zero, False))
+                out += [(m * i + r, source, True) for source in sources[1:]]
+        return out
+
+    def run(program):
+        for slot, source, xor in program:
+            regs[slot] = regs[slot] ^ regs[source] if xor else regs[source]
+
+    def counterexample(pair, block) -> Optional[SeparationVerdict]:
+        root_s, root_t = roots[2 * pair], roots[2 * pair + 1]
+        differ = 0
+        for r in range(m):
+            differ |= regs[m * root_s + r] ^ regs[m * root_t + r]
+            if differ == ones:
+                return None
+        miss = ones ^ differ
+        point = (block << low) | ((miss & -miss).bit_length() - 1)
+        own = masks[root_s] | masks[root_t]
+        assignment = {
+            name: (point >> (m * (len(names) - 1 - i))) & (n - 1)
+            for i, name in enumerate(names)
+            if (own >> i) & 1
+        }
+        return SeparationVerdict(False, assignment)
+
+    run(compile_products(i for i in range(len(prog)) if not masks[i] & varying))
+    verdicts: list[Optional[SeparationVerdict]] = [None] * len(pairs)
+    active = []
+    for pair in range(len(pairs)):
+        if (masks[roots[2 * pair]] | masks[roots[2 * pair + 1]]) & varying:
+            active.append(pair)
+        else:  # the same in every block
+            verdicts[pair] = counterexample(pair, 0)
+    per_block = compile_products(i for i in range(len(prog)) if masks[i] & varying)
+    for block in range(1 << (nbits - low)):
+        if not active:
+            break
+        for slot, h in high:
+            regs[slot] = ones if (block >> h) & 1 else 0
+        run(per_block)
+        undecided = []
+        for pair in active:
+            verdicts[pair] = counterexample(pair, block)
             if verdicts[pair] is None:
                 undecided.append(pair)
         active = undecided

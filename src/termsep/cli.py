@@ -18,6 +18,7 @@ from termsep.census import stderr_progress
 from termsep import synth, verify
 from termsep.cayley import (
     DEFAULT_EVAL_BUDGET,
+    affine_separations,
     deranged_groupoid,
     product_groupoid,
     separations,
@@ -214,7 +215,7 @@ def cmd_antiassoc(action, k, fmt, budget_evals):
             if G.order**k > budget_evals:
                 over_budget += len(members)
                 continue
-            verdicts = separations(to_cayley(G), pairs, budget=budget_evals)
+            verdicts = affine_separations(G, pairs, budget=budget_evals)
             brute.update(zip(members, verdicts))
             tables += 1
     # terms are interned, so each distinct term is rendered once

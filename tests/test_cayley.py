@@ -1,16 +1,20 @@
 import gc
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from termsep import cayley
 from termsep.cayley import (
+    DEFAULT_EVAL_BUDGET,
     AntiassociativityReport,
     BudgetExceededError,
     CayleyGroupoid,
     SeparationVerdict,
+    affine_separations,
     deranged_groupoid,
     eval_cayley,
     is_k_antiassociative,
@@ -20,7 +24,7 @@ from termsep.cayley import (
 )
 from termsep.synth import antiassociative_certificates
 from termsep.terms import Var, enumerate_ordered_terms, parse_term, var_key, variables
-from termsep.vecops import to_cayley
+from termsep.vecops import VecGroupoid, affine_groupoid, to_cayley
 
 Z2_LEFT = deranged_groupoid(2, [1, 0], "LEFT")       # x*y = (x+1) mod 2
 Z3_RIGHT = deranged_groupoid(3, [1, 2, 0], "RIGHT")  # x*y = (y+1) mod 3
@@ -406,6 +410,139 @@ class TestSeparations:
         with pytest.raises(BudgetExceededError):
             separations(Z3_RIGHT, pairs, budget=26)
         assert len(separations(Z3_RIGHT, pairs, budget=27)) == 2
+
+
+class TestAffineSeparations:
+    """The bit-sliced engine against separations on the groupoid's table:
+    the same verdicts, counterexamples and budget errors."""
+
+    @staticmethod
+    def _check(G, pairs, budget=DEFAULT_EVAL_BUDGET) -> set:
+        want = separations(to_cayley(G), pairs, budget=budget)
+        assert affine_separations(G, pairs, budget=budget) == want
+        return {v.separated for v in want}
+
+    def test_matches_the_table_engine(self):
+        # the widest groupoids get fewer variables, so every space fits 2**18
+        rng = random.Random(16)
+        cross = dense.random_cross_checks(random.Random(17))
+        outcomes, widths = set(), set()
+        for G in dense.random_groupoids(16, 40):
+            names = "xyz"[: max(1, min(3, 18 // max(G.width, 1)))]
+            pairs = [
+                (
+                    dense.random_term(rng, rng.randint(1, 5), names),
+                    dense.random_term(rng, rng.randint(1, 5), names),
+                )
+                for _ in range(6)
+            ]
+            pairs += [(dense.random_dag(rng, 3, names), dense.random_dag(rng, 4, names))]
+            if G.width <= 4:  # over x, y, z and u
+                pairs += [next(cross)[1:] for _ in range(3)]
+            pairs.append((pairs[0][0], pairs[0][0]))
+            outcomes |= self._check(G, pairs)
+            widths.add(G.width)
+        assert outcomes == {True, False}
+        assert set(range(1, 7)) <= widths
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_small_chunks_match_the_table_engine(self, monkeypatch, chunk):
+        # a chunk that is not a power of two takes the power of two below
+        # it; each k = 5 factor separates its own pairs and few others, and
+        # those of width 2 take 4**5 assignments, each a block of its own at a
+        # chunk of 1
+        monkeypatch.setattr(cayley, "_CHUNK", chunk)
+        rng = random.Random(chunk)
+        ordered = enumerate_ordered_terms(5)
+        by_factor = {}
+        for pair, cert in antiassociative_certificates(5):
+            if cert.groupoid.width <= 2:
+                by_factor.setdefault(cert.groupoid, []).append(pair)
+        outcomes = set()
+        for G, pairs in by_factor.items():
+            outcomes |= self._check(G, pairs + [tuple(rng.sample(ordered, 2)) for _ in range(3)])
+        assert outcomes == {True, False}
+
+    def test_width_zero(self):
+        G = VecGroupoid((), (), (), 0)
+        pairs = [(parse_term("x"), parse_term("x*y")), (parse_term("y*y"), parse_term("y"))]
+        assert self._check(G, pairs) == {False}
+        assert affine_separations(G, pairs)[0].counterexample == {"x": 0, "y": 0}
+
+    def test_no_pairs(self):
+        assert affine_separations(VecGroupoid((), (), (), 0), []) == []
+        assert affine_separations(dense.worked_example()[0], [], budget=0) == []
+
+    @pytest.mark.parametrize("width, names", [(1, "xy"), (2, "xy"), (5, "x"), (2, "xyz")])
+    def test_spaces_below_one_word(self, width, names):
+        # 4, 16, 32 and 64 assignments, one block shorter than a machine word
+        rng = random.Random(width * len(names))
+        outcomes = set()
+        for _ in range(10):
+            G = dense.random_affine(rng, width)
+            pairs = [
+                (dense.random_term(rng, rng.randint(1, 4), names), dense.random_term(rng, rng.randint(1, 4), names))
+                for _ in range(6)
+            ]
+            outcomes |= self._check(G, pairs)
+        assert outcomes == {True, False}
+
+    def test_space_of_several_blocks(self):
+        # x*y = x + y + c with c = (1, 0, 0), element 4: x1 = x1*x1 holds at
+        # x1 = 4 only, in the fifth of the eight blocks of 2**18 assignments
+        eye = np.eye(3, dtype=np.uint8)
+        G = affine_groupoid(eye, eye, [1, 0, 0])
+        pairs = [
+            (parse_term("x1"), parse_term("x1*x1")),
+            (parse_term("x1"), parse_term("x1*x2")),
+            (parse_term("x3*x4"), parse_term("x5*x6")),
+        ]
+        assert 8**6 // cayley._CHUNK == 8
+        self._check(G, pairs)
+        assert affine_separations(G, pairs) == [
+            SeparationVerdict(False, {"x1": 4}),
+            SeparationVerdict(False, {"x1": 0, "x2": 4}),
+            SeparationVerdict(False, {"x3": 0, "x4": 0, "x5": 0, "x6": 0}),
+        ]
+
+    def test_budget_boundary(self):
+        # width 2 over x, y and z: 4**3 = 64 assignments
+        G = dense.random_affine(random.Random(3), 2)
+        pairs = [(parse_term("x*y"), parse_term("z"))]
+        for engine in (lambda: affine_separations(G, pairs, budget=63),
+                       lambda: separations(to_cayley(G), pairs, budget=63)):
+            with pytest.raises(BudgetExceededError, match="64 assignments exceed budget 63"):
+                engine()
+        self._check(G, pairs, budget=64)
+
+    def test_leaves_no_reference_cycles(self):
+        # a cycle would hold every register of the walk until the collector runs
+        G = dense.worked_example()[0]
+        pairs = [(parse_term("x*(z*(z*x))"), parse_term("(y*z)*(x*y)"))]
+        gc.collect()
+        gc.disable()
+        try:
+            affine_separations(G, pairs)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_default_budget_k6_factors_stay_small(self):
+        # no block holds more than 2**15 assignments: the 2**24 of a
+        # width-4 factor would take 8 MB per register
+        by_factor = {}
+        for pair, cert in antiassociative_certificates(6):
+            if cert.groupoid.order**6 <= DEFAULT_EVAL_BUDGET:
+                by_factor.setdefault(cert.groupoid, []).append(pair)
+        assert sum(map(len, by_factor.values())) == 761
+        tracemalloc.start()
+        try:
+            for G, pairs in by_factor.items():
+                assert all(v.separated for v in affine_separations(G, pairs))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestAntiassociativity:

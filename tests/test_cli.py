@@ -187,12 +187,32 @@ class TestAntiassoc:
         assert all(e.get("exhaustive_ok", True) for e in doc["certificates"])
         assert doc["all_ok"] is False
 
+    def test_verify_reports_a_factor_that_does_not_separate(self, runner, monkeypatch):
+        """A certificate whose groupoid maps every product to 0 cannot tell
+        two products apart: brute force finds it, whatever its lambda."""
+        certs = synth.antiassociative_certificates(4)
+        (pair, cert), rest = certs[0], certs[1:]
+        G = cert.groupoid
+        zero = dataclasses.replace(G, xrows=(0,) * G.width, yrows=(0,) * G.width, cbits=0)
+        certs = [(pair, dataclasses.replace(cert, groupoid=zero)), *rest]
+        monkeypatch.setattr(synth, "antiassociative_certificates", lambda k: certs)
+        doc = run_json(runner, "antiassoc", "verify", "-k", "4")
+        first, *others = doc["certificates"]
+        assert first["exhaustive_ok"] is False
+        assert all(e["exhaustive_ok"] for e in others)
+        assert doc["all_ok"] is False
+
     @pytest.mark.long
     def test_verify_k7(self, runner):
-        doc = run_json(runner, "antiassoc", "verify", "-k", "7")
+        result = runner.invoke(main, ["antiassoc", "verify", "-k", "7"])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
         assert doc["factors"] == 8646
         assert doc["all_ok"] is True
         assert sum("exhaustive_ok" in e for e in doc["certificates"]) > 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == (
+            "d1b3a5e9d7036a58a0c7f1a10d37ea6063b0c7cd1295a6b24703dcd1409990c2"
+        )
 
     @pytest.mark.parametrize(
         "args, sha256",
@@ -204,6 +224,10 @@ class TestAntiassoc:
             (
                 ["verify", "-k", "6", "--budget-evals", "262144"],
                 "7bf6e62b830703318d077216b79fb9616202ab5da9abe3d77ae54f825ffdf13a",
+            ),
+            (
+                ["verify", "-k", "6"],
+                "e04e864e29ee5109a5601ecb544c63a648e00ea5beb5db8aad9bbf313b7befb1",
             ),
         ],
     )
@@ -285,7 +309,6 @@ class TestJsonText:
         ["separate", "x*y", "(x*u)*v", "--emit-table", "--emit-affine"],
         *(["antiassoc", action, "-k", k] for k in "345" for action in ["build", "verify"]),
         ["antiassoc", "build", "-k", "6"],
-        # the default budget brute-forces the width-4 factors of k = 6, about 20 s
         ["antiassoc", "verify", "-k", "6", "--budget-evals", "262144"],
         ["census", "-n", "2"],
         ["census", "-n", "3"],
