@@ -11,8 +11,10 @@ each later row j a mask for every rule whose rows, apart from j, are now
 all picked: rows differing everywhere from a composition, rows whose
 values at some columns avoid a set, and for the rules where row j's own
 values say which row is a*b, "g(b) != v or ..." for each value v.  The
-masks come from per-column bitmasks and memoised compositions, built on
-the first census of each n.  The last row is never enumerated: its
+masks come from per-column bitmasks and from whole tables over every pair
+of rows (compositions and composition masks), built once per n and per
+process.  A census builds them before its pool starts, so the workers it
+forks inherit them and only count.  The last row is never enumerated: its
 domain's popcount is the number of completions.
 
 Relabelling by a permutation s that fixes 0 maps the tables whose first
@@ -72,6 +74,15 @@ def literally_deranged_tables(n: int) -> set[tuple[int, ...]]:
     return out
 
 
+def _masks_by_row(columns, full: int) -> list[int]:
+    """For every row g, in itertools.product order, the AND over columns c
+    of columns[c][g(c)]: one running AND per prefix, a column at a time."""
+    level = [full]
+    for column in columns:
+        level = [p & m for p in level for m in column]
+    return level
+
+
 class _RowTables:
     """Bitmasks over the n^n rows of order n, indexed as itertools.product
     lists them; bit i of a mask stands for row i."""
@@ -121,6 +132,31 @@ class _RowTables:
         self.new_pairs = [
             [(k, b) for b in range(k + 1)] + [(a, k) for a in range(k)] for k in range(n)
         ]
+        # compose[i][j]: index of row i o row j, a running index a column at a time
+        self.compose = []
+        for f in rows:
+            level = [0]
+            for _ in range(n):
+                level = [p * n + v for p in level for v in f]
+            self.compose.append(level)
+        # after[i][j]: rows g with g o row i differing from row j at every column
+        # before[i][j]: rows g with row i o g differing from row j at every column
+        intern = {}.setdefault  # equal masks share one int: 3,382 of 131,072 at n = 4
+        self.after, self.before = [], []
+        for f, pre in zip(rows, self.preimages):
+            after = _masks_by_row([[outside[d][1 << v] for v in range(n)] for d in f], full)
+            before = _masks_by_row(
+                [[outside[c][pre[v]] for v in range(n)] for c in range(n)], full
+            )
+            self.after.append(list(map(intern, after, after)))
+            self.before.append(list(map(intern, before, before)))
+        # squares_differ[i]: rows g with g o g differing from row i at every column
+        roots: dict[int, int] = {}  # roots[r]: rows g with g o g == row r
+        for g, composed in enumerate(self.compose):
+            roots[composed[g]] = roots.get(composed[g], 0) | 1 << g
+        self.squares_differ = [
+            sum(found for r, found in roots.items() if differ >> r & 1) for differ in self.differ
+        ]
         self.orbits = self._first_row_orbits()
 
     def index(self, g) -> int:
@@ -128,37 +164,6 @@ class _RowTables:
         for v in g:
             i = i * self.n + v
         return i
-
-    @functools.cache
-    def compose(self, i: int, j: int) -> int:
-        """Index of row i o row j."""
-        f = self.rows[i]
-        return self.index(f[x] for x in self.rows[j])
-
-    @functools.cache
-    def after(self, i: int, j: int) -> int:
-        """Rows g with g o row i differing from row j at every column."""
-        return functools.reduce(
-            int.__and__,
-            (self.outside[d][1 << v] for d, v in zip(self.rows[i], self.rows[j])),
-            self.full,
-        )
-
-    @functools.cache
-    def before(self, i: int, j: int) -> int:
-        """Rows g with row i o g differing from row j at every column."""
-        pre = self.preimages[i]
-        return functools.reduce(
-            int.__and__,
-            (self.outside[c][pre[v]] for c, v in enumerate(self.rows[j])),
-            self.full,
-        )
-
-    @functools.cache
-    def squares_differ(self, i: int) -> int:
-        """Rows g with g o g differing from row i at every column."""
-        differ = self.differ[i]
-        return sum(1 << g for g in range(len(self.rows)) if differ >> self.compose(g, g) & 1)
 
     def _first_row_orbits(self) -> list[tuple[tuple[int, ...], int]]:
         """(least member, size) of each orbit of first rows under s o f o s^-1,
@@ -185,7 +190,7 @@ class _RowTables:
         pk = picked[k]
         # j*k == j: j*c against j*(k*c), and j*j == k: k*c against j*(j*c)
         mask = ((full ^ eq[k][j]) | self.unhinged[pk]) & (
-            (full ^ eq[j][k]) | self.squares_differ(pk)
+            (full ^ eq[j][k]) | self.squares_differ[pk]
         )
         # k*j == j: j*c against k*(j*c)
         if known[k][j] == j:
@@ -194,12 +199,12 @@ class _RowTables:
             pa, pb = picked[a], picked[b]
             # a*b == j: j*c against a*(b*c)
             if known[a][b] == j:
-                mask &= self.differ[self.compose(pa, pb)]
+                mask &= self.differ[self.compose[pa][pb]]
             # a*j == b: b*c against a*(j*c)
             if known[a][j] == b:
-                mask &= self.before(pa, pb)
+                mask &= self.before[pa][pb]
             # j*a == b: b*c against j*(a*c)
-            mask &= (full ^ eq[a][b]) | self.after(pa, pb)
+            mask &= (full ^ eq[a][b]) | self.after[pa][pb]
         return mask
 
     def count_below(self, picked: list[int], domains: list[int], k: int) -> int:
@@ -250,8 +255,11 @@ def census_pruned(n: int, workers: int = 1, progress=None) -> int:
     firsts = [first for first, _ in orbits]
     if workers == 1:
         return _weighted_sum(map(_count_first_row, itertools.repeat(n), firsts), orbits, progress)
+    # a few orbits per task rather than one round trip each; results still
+    # arrive one per orbit, in order
+    chunksize = -(-len(orbits) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        partials = pool.map(_count_first_row, itertools.repeat(n), firsts)
+        partials = pool.map(_count_first_row, itertools.repeat(n), firsts, chunksize=chunksize)
         return _weighted_sum(partials, orbits, progress)
 
 

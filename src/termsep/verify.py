@@ -192,14 +192,13 @@ def _random_term_with_path(rng: random.Random, path: str, max_extra_depth: int) 
             return fresh_leaf()
         return Mul(random_tree(depth - 1), random_tree(depth - 1))
 
-    def along(i: int) -> Term:
-        if i == len(path):
-            return random_tree(max_extra_depth)
-        child = along(i + 1)
+    # the spine from the bottom up: the node at `path` first, then one side
+    # branch per step of the path, last step first
+    term = random_tree(max_extra_depth)
+    for step in reversed(path):
         branch = random_tree(max_extra_depth)
-        return Mul(child, branch) if path[i] == "l" else Mul(branch, child)
-
-    return along(0)
+        term = Mul(term, branch) if step == "l" else Mul(branch, term)
+    return term
 
 
 def check_transfer_lemma(G: VecGroupoid, opsum: OpSum, op_index: int, term: Term) -> bool:

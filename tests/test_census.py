@@ -1,5 +1,7 @@
+import functools
 import itertools
 import random
+import tracemalloc
 import types
 
 import pytest
@@ -77,13 +79,83 @@ class TestRowWiseCount:
             assert len(counts) == 1, first
 
 
+def reference_compose(tables, i, j):
+    """Index of row i o row j."""
+    f = tables.rows[i]
+    return tables.index(f[x] for x in tables.rows[j])
+
+
+def reference_after(tables, i, j):
+    """Rows g with g o row i differing from row j at every column."""
+    return functools.reduce(
+        int.__and__,
+        (tables.outside[d][1 << v] for d, v in zip(tables.rows[i], tables.rows[j])),
+        tables.full,
+    )
+
+
+def reference_before(tables, i, j):
+    """Rows g with row i o g differing from row j at every column."""
+    pre = tables.preimages[i]
+    return functools.reduce(
+        int.__and__,
+        (tables.outside[c][pre[v]] for c, v in enumerate(tables.rows[j])),
+        tables.full,
+    )
+
+
+def reference_squares_differ(tables, i):
+    """Rows g with g o g differing from row i at every column."""
+    differ = tables.differ[i]
+    return sum(
+        1 << g for g in range(len(tables.rows)) if differ >> reference_compose(tables, g, g) & 1
+    )
+
+
+class TestPairTables:
+    """The whole pair tables against their definitions, entry by entry."""
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_every_entry_matches_its_definition(self, n):
+        tables = census_module._RowTables(n)
+        size = n**n
+        assert len(tables.compose) == len(tables.after) == len(tables.before) == size
+        for i in range(size):
+            assert tables.squares_differ[i] == reference_squares_differ(tables, i), i
+            compose, after, before = tables.compose[i], tables.after[i], tables.before[i]
+            assert len(compose) == len(after) == len(before) == size
+            for j in range(size):
+                assert compose[j] == reference_compose(tables, i, j), (i, j)
+                assert after[j] == reference_after(tables, i, j), (i, j)
+                assert before[j] == reference_before(tables, i, j), (i, j)
+
+    def test_equal_masks_share_one_int(self):
+        tables = census_module._row_tables(4)
+        assert len({id(m) for row in tables.after for m in row}) == 2513
+        assert len({id(m) for row in tables.before for m in row}) == 1990
+
+    def test_order_4_tables_stay_small(self):
+        tracemalloc.start()
+        try:
+            census_module._RowTables(4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+
+
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps inline."""
+    """Stands in for ProcessPoolExecutor: records max_workers, the chunksize
+    of each map, and whether the census tables were built before the pool
+    started; maps inline."""
 
     started: list[int] = []
+    chunksizes: list[int] = []
+    tables_built: list[bool] = []
 
     def __init__(self, max_workers):
         self.started.append(max_workers)
+        self.tables_built.append(census_module._row_tables.cache_info().currsize > 0)
 
     def __enter__(self):
         return self
@@ -91,7 +163,8 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
+    def map(self, fn, *iterables, chunksize=1):
+        self.chunksizes.append(chunksize)
         return map(fn, *iterables)
 
 
@@ -99,6 +172,8 @@ class TestWorkers:
     @pytest.fixture
     def pools(self, monkeypatch):
         monkeypatch.setattr(_RecordingPool, "started", [])
+        monkeypatch.setattr(_RecordingPool, "chunksizes", [])
+        monkeypatch.setattr(_RecordingPool, "tables_built", [])
         monkeypatch.setattr(census_module, "ProcessPoolExecutor", _RecordingPool)
         return _RecordingPool.started
 
@@ -128,6 +203,30 @@ class TestWorkers:
         census(3, progress=lambda done, total, count: calls.append((done, total, count)))
         assert [c[:2] for c in calls] == [(i, 15) for i in range(1, 16)]
         assert calls[-1][2] == 52
+
+    @pytest.mark.parametrize("workers,chunksize", [(2, 2), (4, 1), (5000, 1)])
+    def test_each_task_takes_a_few_orbits(self, pools, workers, chunksize):
+        assert census_pruned(3, workers=workers) == 52
+        assert _RecordingPool.chunksizes == [chunksize]  # ceil(15 / (4 * workers))
+
+    def test_tables_are_built_before_the_pool_starts(self, pools):
+        census_module._row_tables.cache_clear()
+        misses = census_module._row_tables.cache_info().misses
+        assert census_pruned(3, workers=2) == 52
+        assert _RecordingPool.tables_built == [True]
+        # built once, in this process: no task built its own
+        assert census_module._row_tables.cache_info().misses == misses + 1
+
+    def test_progress_from_a_pool_counts_orbits_in_order(self):
+        calls = {1: [], 2: []}
+        for workers, seen in calls.items():
+            total = census_pruned(
+                3, workers=workers, progress=lambda *call, seen=seen: seen.append(call)
+            )
+            assert total == 52
+        assert [c[:2] for c in calls[2]] == [(i, 15) for i in range(1, 16)]
+        assert calls[2] == calls[1]  # the running totals of the orbits in order
+        assert calls[2][-1][2] == 52
 
 
 class TestLiterallyDeranged:

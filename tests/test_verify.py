@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 import time
@@ -8,13 +9,14 @@ import pytest
 
 import dense_reference as dense
 import parity_reference
+import termsep.verify as verify_module
 from termsep.synth import (
     antiassociative_certificates,
     decide_finite_separability,
     find_cover_pair,
     synth_cover,
 )
-from termsep.terms import Mul, Var, parse_term, render_term
+from termsep.terms import Mul, Var, parse_term, render_term, subterm_at
 from termsep.vecops import (
     RegisterAllocator,
     basic_op,
@@ -320,6 +322,30 @@ class TestLemmaHarness:
         assert report.ok
         assert report.plain_checked + report.tweaked_checked == 200
         assert report.tweaked_checked > 0
+
+    def test_report_and_terms_as_before_the_loop(self, monkeypatch):
+        """The spine is built by a loop, drawing from rng in the order the
+        recursive builder did: the same 1,000 terms and the same report."""
+        drawn = []
+        build = verify_module._random_term_with_path
+
+        def recording(rng, path, max_extra_depth):
+            term = build(rng, path, max_extra_depth)
+            drawn.append(render_term(term))
+            return term
+
+        monkeypatch.setattr(verify_module, "_random_term_with_path", recording)
+        report = lemma_harness(trials=1000, seed=0)
+        assert (report.trials, report.plain_checked, report.tweaked_checked) == (1000, 497, 503)
+        assert report.failures == ()
+        assert hashlib.sha256("\n".join(drawn).encode()).hexdigest() == (
+            "4d08a0bdfebe17a27f5ef6a4cb9fe1816a88e04a4d22013a8fcde080e9d87b7f"
+        )
+
+    def test_path_deeper_than_the_recursion_limit(self):
+        path = "lr" * 2500
+        term = verify_module._random_term_with_path(random.Random(0), path, max_extra_depth=2)
+        subterm_at(term, path)  # raises if the path leaves the tree
 
     def test_deterministic(self):
         a = lemma_harness(trials=50, seed=9)
