@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from termsep.terms import Term, Var, steps, var_key
+from termsep.terms import Term, Var, enumerate_ordered_terms, steps, var_key
 
 if TYPE_CHECKING:
     from termsep.vecops import VecGroupoid
@@ -391,8 +391,6 @@ def is_k_antiassociative(
     G: CayleyGroupoid, k: int, budget: int = DEFAULT_EVAL_BUDGET
 ) -> AntiassociativityReport:
     """Does G separate every pair of distinct k-ary ordered terms?"""
-    from termsep.terms import enumerate_ordered_terms
-
     if k < 3:
         raise ValueError("antiassociativity needs k >= 3")
     pairs = list(itertools.combinations(enumerate_ordered_terms(k), 2))

@@ -6,12 +6,12 @@ Errors exit nonzero with a machine-readable {"error": ...} object.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
 
 import click
-import numpy as np
 
 from termsep.census import census as run_census
 from termsep.census import stderr_progress
@@ -202,7 +202,7 @@ def cmd_antiassoc(action, k, fmt, budget_evals):
         _fail(str(exc), 2)
     affine = {}  # pair position -> parity check verdict
     brute = {}  # pair position -> verdict, for factors that fit the budget
-    over_budget = tables = 0
+    over_budget = brute_factors = 0
     if action == "verify":
         # groupoids compare and hash by (indices, xrows, yrows, cbits)
         groups: dict = {}  # distinct factor -> positions of its pairs
@@ -217,7 +217,7 @@ def cmd_antiassoc(action, k, fmt, budget_evals):
                 continue
             verdicts = affine_separations(G, pairs, budget=budget_evals)
             brute.update(zip(members, verdicts))
-            tables += 1
+            brute_factors += 1
     # terms are interned, so each distinct term is rendered once
     distinct = dict.fromkeys(term for pair, _ in certs for term in pair)
     texts = {term: render_term(term) for term in distinct}
@@ -247,7 +247,7 @@ def cmd_antiassoc(action, k, fmt, budget_evals):
     if action == "verify":
         lines.append("all certificates pass" if all_ok else "FAILURES present")
         lines.append(
-            f"brute-forced {len(brute)} pairs over {tables} tables; "
+            f"brute-forced {len(brute)} pairs over {brute_factors} factors; "
             f"{over_budget} pairs over budget"
         )
     _emit(obj, fmt, lines)
@@ -285,20 +285,19 @@ def _demo_affine_example():
     # 2x3 bit matrices flattened row-major to length-6 vectors; the left
     # map shifts columns rightward with copy, the right map copies the top
     # row down, and the constant has a single 1 in the top-left cell.
-    alpha = np.zeros((6, 6), dtype=np.uint8)
+    alpha = [[0] * 6 for _ in range(6)]
     for dst, src in [(0, 0), (1, 0), (2, 1), (3, 3), (4, 3), (5, 4)]:
-        alpha[dst, src] = 1
-    beta = np.zeros((6, 6), dtype=np.uint8)
+        alpha[dst][src] = 1
+    beta = [[0] * 6 for _ in range(6)]
     for dst, src in [(0, 0), (1, 1), (2, 2), (3, 0), (4, 1), (5, 2)]:
-        beta[dst, src] = 1
-    c = np.array([1, 0, 0, 0, 0, 0], dtype=np.uint8)
-    G = affine_groupoid(alpha, beta, c)
+        beta[dst][src] = 1
+    G = affine_groupoid(alpha, beta, [1, 0, 0, 0, 0, 0])
     s = parse_term("((v*w)*(x*y))*z")
     t = parse_term("((v*(w*x))*y)*z")
     def grid(vec):
         return [[int(b) for b in vec[:3]], [int(b) for b in vec[3:]]]
-    ab_c = (alpha @ (beta @ c)) % 2
-    aab_c = (alpha @ ab_c) % 2
+    ab_c = (G.A @ (G.B @ G.c)) % 2
+    aab_c = (G.A @ ab_c) % 2
     s0 = term_affine_form(G, s).const
     t0 = term_affine_form(G, t).const
     decision = verify.affine_separation_decision(G, s, t)
@@ -321,8 +320,7 @@ def _demo_deranged_product():
     left = deranged_groupoid(2, [1, 0], "LEFT")
     right = deranged_groupoid(3, [1, 2, 0], "RIGHT")
     product = product_groupoid(left, right)
-    import itertools as it
-    pairs = list(it.combinations(enumerate_ordered_terms(4), 2))
+    pairs = list(itertools.combinations(enumerate_ordered_terms(4), 2))
     pair_results = {
         f"{render_term(a)} | {render_term(b)}": verdict.separated
         for (a, b), verdict in zip(pairs, separations(product, pairs))

@@ -35,6 +35,7 @@ from termsep.vecops import (
     direct_sum,
     op_sum,
 )
+from termsep.verify import affine_separation_decision
 
 DEFAULT_SEARCH_BUDGET = 20000
 MAX_ANTIASSOC_PAIRS = 10_000  # k=7 has 8,646 pairs, k=8 has 91,806
@@ -405,8 +406,6 @@ def search_separator(
     separates the pair, or None (Unknown) when the budget runs out.
     Callers must have ruled out unifiability already.
     """
-    from termsep.verify import affine_separation_decision
-
     tried = 0
     for opsum in itertools.chain(seeds, _candidate_opsums(s, t)):
         if tried >= budget:

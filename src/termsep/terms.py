@@ -91,8 +91,7 @@ def variables(t: Term) -> list[str]:
     This key orders x1..x9, x10, x11.. the intuitive way and is the
     canonical variable order used for counterexample enumeration.
     """
-    # a plain walk: the decision calls this for every search candidate, and
-    # occurrences() would build a path string per leaf
+    # a plain walk: occurrences() would build a path string per leaf
     seen = set()
     stack = [t]
     while stack:

@@ -15,6 +15,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from termsep import gf2
+from termsep.cayley import CayleyGroupoid
 from termsep.terms import Term, steps, variables
 
 # to_cayley holds all 4^width table entries as Python ints: 45 MB at width
@@ -418,24 +419,26 @@ def direct_sum(*factors: VecGroupoid) -> VecGroupoid:
     return VecGroupoid(tuple(indices), tuple(xrows), tuple(yrows), cbits)
 
 
-def to_cayley(G: VecGroupoid, max_bits: int = DEFAULT_TABLE_BITS):
-    """Explicit table of order 2^width; refuses widths over max_bits."""
-    from termsep.cayley import CayleyGroupoid
+def to_cayley(G: VecGroupoid, max_bits: int = DEFAULT_TABLE_BITS) -> CayleyGroupoid:
+    """Explicit table of order 2^width; refuses widths over max_bits.
 
+    Component k of a vector sits at bit width-1-k of its element."""
     m = G.width
     if m > max_bits:
         raise ValueError(f"width {m} exceeds table bound {max_bits} bits")
-    if m == 0:
-        return CayleyGroupoid(((0,),))
-    n = 2**m
-    vecs = np.array(
-        [[(i >> (m - 1 - k)) & 1 for k in range(m)] for i in range(n)], dtype=np.uint8
-    )
-    ax = (vecs @ G.A.T) % 2
-    by = (vecs @ G.B.T) % 2
-    weights = 1 << np.arange(m - 1, -1, -1)
-    ax_int = ax @ weights
-    by_int = by @ weights
-    c_int = int(G.c @ weights)
-    table = np.bitwise_xor.outer(ax_int, by_int) ^ c_int
-    return CayleyGroupoid(tuple(tuple(int(v) for v in row) for row in table))
+    c = sum(((G.cbits >> i) & 1) << (m - 1 - i) for i in range(m))
+    ax = _linear_images(G.xrows, m)
+    byc = [v ^ c for v in _linear_images(G.yrows, m)]
+    return CayleyGroupoid(tuple(tuple(a ^ v for v in byc) for a in ax))
+
+
+def _linear_images(rows: Sequence[int], m: int) -> list[int]:
+    """The image of every element under the matrix with these packed rows,
+    filled by linearity: the elements below bit b, each XORed with the
+    image of that bit, are the elements up to bit b + 1."""
+    images = [0]
+    for b in range(m):
+        k = m - 1 - b  # the component at bit b
+        image = sum(((row >> k) & 1) << (m - 1 - i) for i, row in enumerate(rows))
+        images += [v ^ image for v in images]
+    return images

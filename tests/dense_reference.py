@@ -5,7 +5,8 @@ eliminations on uint8 arrays.  eval_opsum_direct reads an OpSum's
 equations literally, without compiling them.  term_form composes the groupoid's matrices
 along the term (A @ M for a left child, B @ M for a right one), and
 decision and parity_ok are the separation decision and the parity check
-built on them.  The random_* helpers make seeded inputs for comparing them.
+built on them.  cayley_table is the table of vecops.to_cayley, built from
+the matrices.  The random_* helpers make seeded inputs for comparing them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import random
 
 import numpy as np
 
+from termsep.cayley import CayleyGroupoid
 from termsep.terms import Mul, Term, Var, var_key, variables
 from termsep.vecops import RegisterAllocator, affine_groupoid, basic_op, compile_opsum, op_sum
 
@@ -118,6 +120,24 @@ def term_form(G, t: Term):
         return coeff, (G.A @ l0 + G.B @ r0 + G.c) % 2
 
     return walk(t)
+
+
+def cayley_table(G) -> CayleyGroupoid:
+    """Element i is the vector of the bits of i, first component most
+    significant, and the entry at (x, y) is A.x + B.y + c."""
+    m = G.width
+    if m == 0:
+        return CayleyGroupoid(((0,),))
+    n = 2**m
+    vecs = np.array(
+        [[(i >> (m - 1 - k)) & 1 for k in range(m)] for i in range(n)], dtype=np.uint8
+    )
+    weights = 1 << np.arange(m - 1, -1, -1)
+    ax = ((vecs @ G.A.T) % 2) @ weights
+    by = ((vecs @ G.B.T) % 2) @ weights
+    c = int(G.c @ weights)
+    table = np.bitwise_xor.outer(ax, by) ^ c
+    return CayleyGroupoid(tuple(tuple(int(v) for v in row) for row in table))
 
 
 def eval_opsum_direct(opsum, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:

@@ -418,7 +418,7 @@ class TestAffineSeparations:
 
     @staticmethod
     def _check(G, pairs, budget=DEFAULT_EVAL_BUDGET) -> set:
-        want = separations(to_cayley(G), pairs, budget=budget)
+        want = separations(dense.cayley_table(G), pairs, budget=budget)
         assert affine_separations(G, pairs, budget=budget) == want
         return {v.separated for v in want}
 
@@ -510,7 +510,7 @@ class TestAffineSeparations:
         G = dense.random_affine(random.Random(3), 2)
         pairs = [(parse_term("x*y"), parse_term("z"))]
         for engine in (lambda: affine_separations(G, pairs, budget=63),
-                       lambda: separations(to_cayley(G), pairs, budget=63)):
+                       lambda: separations(dense.cayley_table(G), pairs, budget=63)):
             with pytest.raises(BudgetExceededError, match="64 assignments exceed budget 63"):
                 engine()
         self._check(G, pairs, budget=64)

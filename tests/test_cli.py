@@ -158,9 +158,9 @@ class TestAntiassoc:
         lines = result.output.splitlines()
         doc = run_json(runner, *args)
         brute = [e for e in doc["certificates"] if "exhaustive_ok" in e]
-        tables = {json.dumps(e["certificate"]["groupoid"]) for e in brute}
+        factors = {json.dumps(e["certificate"]["groupoid"]) for e in brute}
         assert lines[2] == (
-            f"brute-forced {len(brute)} pairs over {len(tables)} tables; "
+            f"brute-forced {len(brute)} pairs over {len(factors)} factors; "
             f"{91 - len(brute)} pairs over budget"
         )
         assert 0 < len(brute) < 91

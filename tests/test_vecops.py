@@ -374,6 +374,15 @@ class TestToCayley:
             x, y = int_to_vec(i), int_to_vec(j)
             assert table.op(i, j) == vec_to_int(eval_vec(G, x, y))
 
+    def test_matches_the_dense_table(self):
+        rng = random.Random(19)
+        groupoids = [VecGroupoid((), (), (), 0)]
+        groupoids += [dense.random_affine(rng, width) for width in range(1, 9) for _ in range(3)]
+        groupoids += [dense.random_compiled(rng) for _ in range(20)]
+        assert {G.width for G in groupoids} >= set(range(9))
+        for G in groupoids:
+            assert to_cayley(G) == dense.cayley_table(G)
+
     def test_width_bound(self):
         G = compile_opsum(cover_opsum())
         with pytest.raises(ValueError):
