@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from termsep.terms import (
+    InvalidPathError,
     Mul,
     Term,
     Var,
@@ -23,7 +24,9 @@ from termsep.terms import (
     is_proper_prefix,
     occurrences,
     render_term,
+    subterm_at,
     var_key,
+    variables,
 )
 from termsep.unify import AbstractSeparability, decide_abstract_separability
 from termsep.vecops import (
@@ -67,38 +70,86 @@ class CoverWitness:
 
 
 def _frontier(s: Term, t: Term):
-    """Walk s and t together over the positions both have.  At each
-    position q where one term has a leaf v, yield (q, side of the leaf, v,
-    the leaves of the other term below q with paths relative to q, left to
-    right).
+    """Walk s and t together over the positions both have, in pre-order,
+    left first, which is the lexicographic order of the positions.  At
+    each position where one term has a leaf v, yield (path, side of the
+    leaf, v, the other term's subterm there).
 
-    Every pair of leaves, one in each term, where one path is a prefix of
-    the other is one such leaf and one entry of its list.  Each leaf is
-    yielded at most once and listed at most once, so the walk grows with
-    the number of leaves, not of pairs of leaves.
+    path is the list of directions to the position.  The walk shares it
+    and changes it at the next step, so join it before going on.  Every
+    pair of leaves, one in each term, where one path is a prefix of the
+    other is one such leaf and one leaf of its subterm.  The subterms of
+    distinct yielded leaves are disjoint.
     """
-    stack = [("", s, t)]
+    # each stack entry carries the depth of its parent position and its
+    # step as a 1-tuple, which a slice assignment takes several times
+    # faster than a 1-character string
+    path: list[str] = []
+    stack = [(s, t, 0, ())]
     while stack:
-        q, a, b = stack.pop()
-        if isinstance(a, Var):
-            yield q, "s", a.name, occurrences(b)
-        if isinstance(b, Var):
-            yield q, "t", b.name, occurrences(a)
-        if isinstance(a, Mul) and isinstance(b, Mul):
-            stack += ((q + "r", a.right, b.right), (q + "l", a.left, b.left))
+        a, b, at, step = stack.pop()
+        path[at:] = step
+        if a.__class__ is Mul:
+            if b.__class__ is Mul:
+                n = len(path)
+                stack += ((a.right, b.right, n, ("r",)), (a.left, b.left, n, ("l",)))
+            else:
+                yield path, "t", b.name, a
+        else:
+            yield path, "s", a.name, b
+            if b.__class__ is Var:
+                yield path, "t", b.name, a
+
+
+def _occurs(name: str, term: Term) -> bool:
+    """Whether name is a leaf of term; stops at the first one found."""
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is Mul:
+            stack += (node.right, node.left)
+        elif node.name == name:
+            return True
+    return False
+
+
+def _paths_to(term: Term, name: str):
+    """The path in term of each leaf name, left to right, so in
+    lexicographic order.  One list of directions is shared by the walk; a
+    string is built only for a leaf that is yielded."""
+    path: list[str] = []
+    stack = [(term, 0, ())]
+    while stack:
+        node, at, step = stack.pop()
+        path[at:] = step
+        if node.__class__ is Mul:
+            n = len(path)
+            stack += ((node.right, n, ("r",)), (node.left, n, ("l",)))
+        elif node.name == name:
+            yield "".join(path)
 
 
 def find_cover_pair(s: Term, t: Term) -> Optional[CoverWitness]:
-    """Smallest witness (variable, then q length, then lexicographic)."""
+    """Smallest witness (variable, then q length, then lexicographic, then
+    p).
+
+    The frontier visits positions in lexicographic order, so of the
+    positions with equal (variable, |q|) the first visited has the least
+    q: a position is searched only if its key is smaller than the best
+    so far.  The search stops at the first leaf found, and the paths are
+    spelt only for the witness, p being the leftmost occurrence below q.
+    """
     best = None
-    for q, side, name, below in _frontier(s, t):
-        # leaf paths in left-to-right order are in lexicographic order, so
-        # the first occurrence of name strictly below q gives the least p
-        w = next((w for w, v in below if v == name and w), None)
-        key = (var_key(name), len(q), q)
-        if w is not None and (best is None or key < best[0]):
-            best = (key, CoverWitness(name, side, q, _flip(side), q + w))
-    return best[1] if best else None
+    for path, side, name, below in _frontier(s, t):
+        if below.__class__ is Var:
+            continue
+        key = (var_key(name), len(path))
+        if (best is None or key < best[0]) and _occurs(name, below):
+            best = (key, "".join(path), side, name, below)
+    if best is None:
+        return None
+    _, q, side, name, below = best
+    return CoverWitness(name, side, q, _flip(side), q + next(_paths_to(below, name)))
 
 
 @dataclass(frozen=True)
@@ -192,32 +243,44 @@ class CycleWitness:
             raise ValueError("cycle variables must be distinct")
         if not self.q[0]:
             raise ValueError("first edge must be strict (q0 nonempty)")
-        occ = {"s": set(occurrences(s)), "t": set(occurrences(t))}
+        terms = {"s": s, "t": t}
         for i in range(self.k):
             j = (i + 1) % self.k
             up = (self.p[i], self.variables[i])
             down = (self.p[i] + self.q[i], self.variables[j])
-            if up not in occ[self.u_side[i]]:
+            if not _is_leaf(terms[self.u_side[i]], *up):
                 raise ValueError(f"up occurrence {up} missing from {self.u_side[i]}")
-            if down not in occ[_flip(self.u_side[i])]:
+            if not _is_leaf(terms[_flip(self.u_side[i])], *down):
                 raise ValueError(f"down occurrence {down} missing")
         for i, j in itertools.permutations(range(self.k), 2):
             if self.p[j].startswith(self.p[i]):
                 raise ValueError(f"p[{i}] is an initial substring of p[{j}]")
 
 
-def _cycle_edges(s: Term, t: Term) -> dict[tuple[str, str], list[tuple[str, str, str]]]:
-    """(u, d) -> each (side, path of u, w) where u occurs in side at that
-    path and d, another variable, in the other term at path + w; each list
-    sorted by (|path|, path, |w|, w, side)."""
-    edges: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
-    for path_u, side, name_u, below in _frontier(s, t):
-        for w, name_d in below:
-            if name_d != name_u:
-                edges.setdefault((name_u, name_d), []).append((side, path_u, w))
-    for options in edges.values():
-        options.sort(key=lambda e: (len(e[1]), e[1], len(e[2]), e[2], e[0]))
-    return edges
+def _is_leaf(term: Term, path: str, name: str) -> bool:
+    try:
+        node = subterm_at(term, path)
+    except InvalidPathError:
+        return False
+    return node.__class__ is Var and node.name == name
+
+
+def _chain_options(s: Term, t: Term, chain: list[str]) -> list[list[tuple[str, str, str]]]:
+    """For each edge (chain[i], chain[i+1]) of a cycle, each (side, path of
+    u, w) where u = chain[i] occurs in side at that path and chain[i+1] in
+    the other term at path + w; each list sorted by (|path|, path, |w|, w,
+    side)."""
+    index = {name: i for i, name in enumerate(chain)}
+    options: list[list[tuple[str, str, str]]] = [[] for _ in chain]
+    for path, side, name_u, below in _frontier(s, t):
+        i = index.get(name_u)
+        if i is not None:
+            path_u = "".join(path)
+            name_d = chain[(i + 1) % len(chain)]
+            options[i] += ((side, path_u, w) for w in _paths_to(below, name_d))
+    for opts in options:
+        opts.sort(key=lambda e: (len(e[1]), e[1], len(e[2]), e[2], e[0]))
+    return options
 
 
 def find_cycle(s: Term, t: Term) -> Optional[CycleWitness]:
@@ -227,7 +290,17 @@ def find_cycle(s: Term, t: Term) -> Optional[CycleWitness]:
     another variable in the other term whose path it prefixes.  Length-1
     cycles are covers and belong to find_cover_pair.
     """
-    edges = _cycle_edges(s, t)
+    # (u, d) -> whether the edge is strict: d lies strictly below some
+    # frontier leaf u, that is in a product there
+    edges: dict[tuple[str, str], bool] = {}
+    for _, _, name_u, below in _frontier(s, t):
+        if below.__class__ is Var:
+            if below.name != name_u:
+                edges.setdefault((name_u, below.name), False)
+        else:
+            for name_d in variables(below):
+                if name_d != name_u:
+                    edges[(name_u, name_d)] = True
     adjacency: dict[str, list[str]] = {}
     for (a, b) in edges:
         adjacency.setdefault(a, []).append(b)
@@ -235,7 +308,7 @@ def find_cycle(s: Term, t: Term) -> Optional[CycleWitness]:
         nbrs.sort(key=var_key)
 
     strict_edges = sorted(
-        (pair for pair, opts in edges.items() if any(q for _, _, q in opts)),
+        (pair for pair, strict in edges.items() if strict),
         key=lambda pair: (var_key(pair[0]), var_key(pair[1])),
     )
     best: Optional[tuple] = None
@@ -270,16 +343,12 @@ def find_cycle(s: Term, t: Term) -> Optional[CycleWitness]:
     if best is None:
         return None
     chain = best[1]
-    k = len(chain)
 
     # Pick concrete occurrences edge by edge; the first edge must be
     # strict.  Occurrence choices rarely interact, but validation enforces
     # the no-mutual-prefix claim, so fall back over the product if needed.
-    option_lists = []
-    for i in range(k):
-        a, b = chain[i], chain[(i + 1) % k]
-        opts = edges[(a, b)]
-        option_lists.append([o for o in opts if o[2]] if i == 0 else opts)
+    option_lists = _chain_options(s, t, chain)
+    option_lists[0] = [o for o in option_lists[0] if o[2]]
     for combo in itertools.product(*option_lists):
         witness = CycleWitness(
             tuple(chain),

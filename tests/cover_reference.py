@@ -1,18 +1,24 @@
-"""The all-pairs cover and edge loops, kept as the reference for the one
-walk of synth._frontier.
+"""All-pairs cover and cycle searches, kept as the reference for the
+early-exit walk of synth.find_cover_pair and synth.find_cycle.
 
 cover_pair compares every leaf of s with every leaf of t and keeps the
-least (variable, |q|, q, p); cycle_edges lists, for every leaf u of one
+least (variable, |q|, q, p).  cycle_edges lists, for every leaf u of one
 term and every leaf d of another variable in the other term below it, the
-entry (side of u, path of u, the rest of the path of d).  Both are
-quadratic in the number of leaves.  leftmost_cover is the cover of the
-paper's lemma for two distinct ordered terms, read off their occurrence
-lists.  sweep_terms lists the small terms the comparisons run over.
+entry (side of u, path of u, the rest of the path of d).  cycle picks a
+cycle from those lists as find_cycle did when it read them, and checks
+each candidate against the occurrence sets of both terms.  All three spell
+every leaf's path and are quadratic in the number of leaves.
+leftmost_cover is the cover of the paper's lemma for two distinct ordered
+terms, read off their occurrence lists.  sweep_terms lists the small
+terms the comparisons run over.
 """
 
 from __future__ import annotations
 
-from termsep.synth import CoverWitness
+import itertools
+from collections import deque
+
+from termsep.synth import CoverWitness, CycleWitness
 from termsep.terms import Mul, Term, Var, is_proper_prefix, occurrences, var_key
 
 
@@ -46,6 +52,58 @@ def cycle_edges(s: Term, t: Term) -> dict:
     for options in edges.values():
         options.sort(key=lambda e: (len(e[1]), e[1], len(e[2]), e[2], e[0]))
     return edges
+
+
+def cycle(s: Term, t: Term):
+    """Minimum-length cycle through a strict edge, least variables first;
+    the first combination of sorted options whose witness is valid."""
+    edges = cycle_edges(s, t)
+    adjacency: dict = {}
+    for a, b in edges:
+        adjacency.setdefault(a, []).append(b)
+    for nbrs in adjacency.values():
+        nbrs.sort(key=var_key)
+    strict_edges = sorted(
+        (pair for pair, opts in edges.items() if any(w for _, _, w in opts)),
+        key=lambda pair: (var_key(pair[0]), var_key(pair[1])),
+    )
+    best = None
+    for a, b in strict_edges:
+        dist, prev, queue = {b: 0}, {}, deque([b])
+        while queue:
+            node = queue.popleft()
+            if node == a:
+                break
+            for nxt in adjacency.get(node, []):
+                if nxt not in dist:
+                    dist[nxt] = dist[node] + 1
+                    prev[nxt] = node
+                    queue.append(nxt)
+        if a not in dist:
+            continue
+        chain = [a]
+        while chain[-1] != b:
+            chain.append(prev[chain[-1]])
+        chain[1:] = chain[:0:-1]
+        key = (len(chain), tuple(var_key(v) for v in chain))
+        if best is None or key < best[0]:
+            best = (key, chain)
+    if best is None:
+        return None
+    chain = best[1]
+    k = len(chain)
+    option_lists = [edges[(chain[i], chain[(i + 1) % k])] for i in range(k)]
+    option_lists[0] = [o for o in option_lists[0] if o[2]]
+    occ = {"s": set(occurrences(s)), "t": set(occurrences(t))}
+    for combo in itertools.product(*option_lists):
+        sides, ps, qs = zip(*combo)
+        if all(
+            (ps[i], chain[i]) in occ[sides[i]]
+            and (ps[i] + qs[i], chain[(i + 1) % k]) in occ["t" if sides[i] == "s" else "s"]
+            for i in range(k)
+        ) and not any(ps[j].startswith(ps[i]) for i, j in itertools.permutations(range(k), 2)):
+            return CycleWitness(tuple(chain), sides, ps, qs)
+    return None
 
 
 def leftmost_disagreement(s: Term, t: Term) -> tuple[int, str, str]:

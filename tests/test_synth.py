@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,22 @@ class TestCycleWitness:
                 *trees("x*y", "y*x")
             )
 
+    @pytest.mark.parametrize(
+        "p, q, message",
+        [
+            (("lll", "lr", "rr"), ("r", "", "r"), r"up occurrence \('lll', 'y0'\) missing from s"),
+            (("lx", "lr", "rr"), ("r", "", "r"), r"up occurrence \('lx', 'y0'\) missing from s"),
+            (("ll", "lr", "rr"), ("l", "", "r"), r"down occurrence \('lll', 'y1'\) missing"),
+            (("ll", "lr", "rr"), ("r", "", "rl"), r"down occurrence \('rrrl', 'y0'\) missing"),
+        ],
+    )
+    def test_missing_occurrences_rejected(self, p, q, message):
+        # the found witness is (ll, lr, rr), (r, '', r): each case moves one
+        # path onto another variable or off the tree
+        s, t = self.cycle_example_pair()
+        with pytest.raises(ValueError, match=message):
+            CycleWitness(("y0", "y1", "y2"), ("s", "s", "t"), p, q).validate(s, t)
+
     def test_four_cycle_example(self):
         s, t = trees("(x*y)*(z*w)", "((w*u)*x)*((y*v)*z)")
         w = find_cycle(s, t)
@@ -187,14 +204,15 @@ class TestSynthCycle:
 
 
 class TestOneWalk:
-    """find_cover_pair and the cycle edges read one walk over both terms;
-    they must give what the all-pairs loops of cover_reference give."""
+    """find_cover_pair and find_cycle read one early-exit walk over both
+    terms; they must give what the all-pairs loops of cover_reference
+    give."""
 
     @staticmethod
     def same_as_reference(pairs):
         for s, t in pairs:
             assert find_cover_pair(s, t) == ref.cover_pair(s, t), (s, t)
-            assert synth._cycle_edges(s, t) == ref.cycle_edges(s, t), (s, t)
+            assert find_cycle(s, t) == ref.cycle(s, t), (s, t)
 
     def test_sweep_sample(self):
         terms = ref.sweep_terms()
@@ -233,6 +251,37 @@ class TestOneWalk:
         w = find_cover_pair(right, left)
         assert time.perf_counter() - start < 2.0
         assert (w.variable, w.shallow_side, w.q, w.p) == ("x", "s", "l", "l" * depth)
+        # the paths below each frontier leaf took about 100 MB as strings
+        tracemalloc.start()
+        try:
+            find_cover_pair(right, left)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_deep_cycle_is_linear(self):
+        # the cycle example with s multiplied by a right comb of depth
+        # 10,000 over fresh variables and t by a fresh leaf: the leaf's
+        # edges reach every variable of the comb and close no cycle
+        s, t = TestCycleWitness.cycle_example_pair()
+        comb = Var("c10000")
+        for i in range(9999, -1, -1):
+            comb = Mul(Var(f"c{i}"), comb)
+        s, t = Mul(s, comb), Mul(t, Var("f"))
+        start = time.perf_counter()
+        w = find_cycle(s, t)
+        assert time.perf_counter() - start < 1.0
+        assert w == CycleWitness(
+            ("y0", "y1", "y2"), ("s", "s", "t"), ("lll", "llr", "lrr"), ("r", "", "r")
+        )
+        tracemalloc.start()
+        try:
+            find_cycle(s, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 class TestBuildKAntiassociative:
