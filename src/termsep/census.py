@@ -14,8 +14,19 @@ values say which row is a*b, "g(b) != v or ..." for each value v.  The
 masks come from per-column bitmasks and from whole tables over every pair
 of rows (compositions and composition masks), built once per n and per
 process.  A census builds them before its pool starts, so the workers it
-forks inherit them and only count.  The last row is never enumerated: its
-domain's popcount is the number of completions.
+forks inherit them and only count.
+
+The rules that picking row k decides for row j fall into those among rows
+k and j alone, which depend on row k's pick only and are looked up in the
+table alone[k][j] (1,536 masks at n = 4), and those that also read the
+products k*b and b*k of an earlier row b, one pair of rows at a time.
+The last row is never enumerated: its domain's popcount is the number of
+completions.  For each candidate p of row n - 2 the search carries down
+the mask that the rules among p and the rows picked so far allow for row
+n - 1, starting from alone[n-2][n-1] and ANDing in the rules with each
+row as it is picked.  So once row n - 3 is picked, each candidate p is
+counted inline, as the popcount of the last row's domain, p's carried
+mask and the rules between p and row n - 3: no call and no copy per leaf.
 
 Relabelling by a permutation s that fixes 0 maps the tables whose first
 row is f one to one onto those whose first row is s o f o s^-1, so the
@@ -74,6 +85,11 @@ def literally_deranged_tables(n: int) -> set[tuple[int, ...]]:
     return out
 
 
+@functools.cache
+def _literally_deranged_count(n: int) -> int:
+    return len(literally_deranged_tables(n))
+
+
 def _masks_by_row(columns, full: int) -> list[int]:
     """For every row g, in itertools.product order, the AND over columns c
     of columns[c][g(c)]: one running AND per prefix, a column at a time."""
@@ -128,10 +144,6 @@ class _RowTables:
             for d, v in enumerate(g):
                 pre[v] |= 1 << d
             self.preimages.append(pre)
-        # new_pairs[k]: the ordered pairs of rows 0..k that include row k
-        self.new_pairs = [
-            [(k, b) for b in range(k + 1)] + [(a, k) for a in range(k)] for k in range(n)
-        ]
         # compose[i][j]: index of row i o row j, a running index a column at a time
         self.compose = []
         for f in rows:
@@ -157,6 +169,13 @@ class _RowTables:
         self.squares_differ = [
             sum(found for r, found in roots.items() if differ >> r & 1) for differ in self.differ
         ]
+        # alone[k][j][p]: rows allowed for row j by the rules among rows k
+        # and j alone, when row k is row p; 1,536 masks at n = 4
+        self.alone = [
+            [[self._alone(k, j, p) for p in range(len(rows))] if j > k else None
+             for j in range(n)]
+            for k in range(n)
+        ]
         self.orbits = self._first_row_orbits()
 
     def index(self, g) -> int:
@@ -181,49 +200,117 @@ class _RowTables:
             orbits[min(members)] = len(members)
         return sorted(orbits.items())
 
-    def allowed(self, picked: list[int], k: int, j: int) -> int:
-        """Rows allowed for row j by the rules that picking row k has made
-        decidable: those whose rows other than j are all among rows 0..k
-        and include row k.  picked[a] is the index of row a, for a <= k."""
-        rows, eq, full = self.rows, self.eq, self.full
-        known = [rows[p] for p in picked[: k + 1]]
-        pk = picked[k]
+    def _alone(self, k: int, j: int, pk: int) -> int:
+        """Rows allowed for row j by the rules among rows k < j alone, when
+        row k is row pk."""
+        full, eq, g = self.full, self.eq, self.rows[pk]
         # j*k == j: j*c against j*(k*c), and j*j == k: k*c against j*(j*c)
         mask = ((full ^ eq[k][j]) | self.unhinged[pk]) & (
             (full ^ eq[j][k]) | self.squares_differ[pk]
         )
         # k*j == j: j*c against k*(j*c)
-        if known[k][j] == j:
+        if g[j] == j:
             mask &= self.fixed_free[pk]
-        for a, b in self.new_pairs[k]:
-            pa, pb = picked[a], picked[b]
-            # a*b == j: j*c against a*(b*c)
-            if known[a][b] == j:
-                mask &= self.differ[self.compose[pa][pb]]
-            # a*j == b: b*c against a*(j*c)
-            if known[a][j] == b:
-                mask &= self.before[pa][pb]
-            # j*a == b: b*c against j*(a*c)
-            mask &= (full ^ eq[a][b]) | self.after[pa][pb]
+        # k*k == j: j*c against k*(k*c)
+        if g[k] == j:
+            mask &= self.differ[self.compose[pk][pk]]
+        # k*j == k: k*c against k*(j*c)
+        if g[j] == k:
+            mask &= self.before[pk][pk]
+        # j*k == k: k*c against j*(k*c)
+        return mask & ((full ^ eq[k][k]) | self.after[pk][pk])
+
+    def between(self, pk: int, k: int, pb: int, b: int, j: int) -> int:
+        """Rows allowed for row j by the rules that read the products k*b
+        and b*k, when row k is row pk and row b is row pb, b < k < j."""
+        full, eq, gk, gb = self.full, self.eq, self.rows[pk], self.rows[pb]
+        # j*k == b: b*c against j*(k*c), and j*b == k: k*c against j*(b*c)
+        mask = ((full ^ eq[k][b]) | self.after[pk][pb]) & (
+            (full ^ eq[b][k]) | self.after[pb][pk]
+        )
+        # k*b == j: j*c against k*(b*c), and b*k == j: j*c against b*(k*c)
+        if gk[b] == j:
+            mask &= self.differ[self.compose[pk][pb]]
+        if gb[k] == j:
+            mask &= self.differ[self.compose[pb][pk]]
+        # k*j == b: b*c against k*(j*c), and b*j == k: k*c against b*(j*c)
+        if gk[j] == b:
+            mask &= self.before[pk][pb]
+        if gb[j] == k:
+            mask &= self.before[pb][pk]
         return mask
 
-    def count_below(self, picked: list[int], domains: list[int], k: int) -> int:
+    def allowed(self, picked: list[int], k: int, j: int) -> int:
+        """Rows allowed for row j by the rules that picking row k has made
+        decidable: those whose rows other than j are all among rows 0..k
+        and include row k.  picked[a] is the index of row a, for a <= k."""
+        pk = picked[k]
+        mask = self.alone[k][j][pk]
+        for b in range(k):
+            mask &= self.between(pk, k, picked[b], b, j)
+        return mask
+
+    def carry(self, carried, candidates: int, picked: list[int], k: int) -> dict[int, int]:
+        """carried[p] ANDed with the rules between row n - 2, as row p, and
+        row k, for row n - 1; for each p in the bitset candidates."""
+        between, pk, last = self.between, picked[k], self.n - 1
+        out = {}
+        while candidates:
+            low = candidates & -candidates
+            p = low.bit_length() - 1
+            out[p] = carried[p] & between(p, last - 1, pk, k, last)
+            candidates ^= low
+        return out
+
+    def count_below(self, picked: list[int], domains: list[int], carried, k: int) -> int:
         """Completions once rows 0..k are picked, with the given domains
-        for the later rows."""
-        last = self.n - 1
+        for the later rows.  carried[p], for each candidate p of row n - 2,
+        holds the rows that the rules among p and rows 0..k-1 allow for
+        row n - 1."""
+        n = self.n
+        last = n - 1
         narrowed = domains[:]
-        for j in range(k + 1, self.n):
+        for j in range(k + 1, n):
             narrowed[j] &= self.allowed(picked, k, j)
             if not narrowed[j]:
                 return 0
-        if k + 1 == last:
+        if k + 1 == last:  # n = 2
             return narrowed[last].bit_count()
+        if k + 2 == last:
+            # row m = n - 2 is next: count each of its candidates p inline as
+            # narrowed[last] & carried[p] & between(p, m, q, k, last), with
+            # the parts that depend on row k alone taken out of the loop
+            m, q, rows = last - 1, picked[k], self.rows
+            after, before, compose, differ = self.after, self.before, self.compose, self.differ
+            after_q, before_q, compose_q = after[q], before[q], compose[q]
+            off_mk, off_km = self.full ^ self.eq[m][k], self.full ^ self.eq[k][m]
+            qm_is_last, q_last_is_m = rows[q][m] == last, rows[q][last] == m
+            final = narrowed[last]
+            total = 0
+            left = narrowed[m]
+            while left:
+                low = left & -left
+                p = low.bit_length() - 1
+                mask = final & carried[p] & (off_mk | after[p][q]) & (off_km | after_q[p])
+                g = rows[p]
+                if g[k] == last:
+                    mask &= differ[compose[p][q]]
+                if qm_is_last:
+                    mask &= differ[compose_q[p]]
+                if g[last] == k:
+                    mask &= before[p][q]
+                if q_last_is_m:
+                    mask &= before_q[p]
+                total += mask.bit_count()
+                left ^= low
+            return total
+        carried = self.carry(carried, narrowed[last - 1], picked, k)
         total = 0
         left = narrowed[k + 1]
         while left:
             low = left & -left
             picked[k + 1] = low.bit_length() - 1
-            total += self.count_below(picked, narrowed, k + 1)
+            total += self.count_below(picked, narrowed, carried, k + 1)
             left ^= low
         return total
 
@@ -240,7 +327,8 @@ def _count_first_row(n: int, first: tuple[int, ...]) -> int:
     tables = _row_tables(n)
     picked = [tables.index(first)] + [0] * (n - 1)
     domains = [tables.full ^ tables.eq[j][j] for j in range(n)]  # j*j != j
-    return tables.count_below(picked, domains, 0)
+    carried = tables.alone[n - 2][n - 1]  # rules among rows n - 2 and n - 1 alone
+    return tables.count_below(picked, domains, carried, 0)
 
 
 def _workers_used(n: int, workers: int) -> int:
@@ -286,7 +374,7 @@ def census(n: int, workers: int = 1, long_run: bool = False, progress=None) -> C
         n=n,
         total_tables=n ** (n * n),
         antiassociative_count=count,
-        literally_deranged_count=len(literally_deranged_tables(n)),
+        literally_deranged_count=_literally_deranged_count(n),
         elapsed=elapsed,
         workers=_workers_used(n, workers),
     )

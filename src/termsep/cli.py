@@ -260,6 +260,8 @@ def cmd_antiassoc(action, k, fmt, budget_evals):
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
 def cmd_census(n, long_run, workers, fmt):
     """Count the 3-antiassociative n-element Cayley tables."""
+    if n == 4 and not long_run:
+        _fail("n=4 counts among 4^16 tables; pass --long to confirm", 2)
     try:
         report = run_census(
             n,

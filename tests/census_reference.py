@@ -76,3 +76,31 @@ def count_subtree(n: int, prefix: tuple[int, ...]) -> int:
 
     descend(start)
     return count
+
+
+def reference_allowed(tables, picked, k, j):
+    """Rows allowed for row j by the rules that picking row k has made
+    decidable, rule by rule over the ordered pairs of rows 0..k that include
+    row k; the row-wise count's allowed before it looked up the rules
+    between two rows."""
+    rows, eq, full = tables.rows, tables.eq, tables.full
+    known = [rows[p] for p in picked[: k + 1]]
+    pk = picked[k]
+    # j*k == j: j*c against j*(k*c), and j*j == k: k*c against j*(j*c)
+    mask = ((full ^ eq[k][j]) | tables.unhinged[pk]) & (
+        (full ^ eq[j][k]) | tables.squares_differ[pk]
+    )
+    # k*j == j: j*c against k*(j*c)
+    if known[k][j] == j:
+        mask &= tables.fixed_free[pk]
+    for a, b in [(k, b) for b in range(k + 1)] + [(a, k) for a in range(k)]:
+        pa, pb = picked[a], picked[b]
+        # a*b == j: j*c against a*(b*c)
+        if known[a][b] == j:
+            mask &= tables.differ[tables.compose[pa][pb]]
+        # a*j == b: b*c against a*(j*c)
+        if known[a][j] == b:
+            mask &= tables.before[pa][pb]
+        # j*a == b: b*c against j*(a*c)
+        mask &= (full ^ eq[a][b]) | tables.after[pa][pb]
+    return mask

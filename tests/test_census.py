@@ -7,7 +7,7 @@ import types
 import pytest
 
 import termsep.census as census_module
-from census_reference import count_subtree
+from census_reference import count_subtree, reference_allowed
 from termsep.cayley import CayleyGroupoid, is_k_antiassociative
 from termsep.census import (
     census,
@@ -44,6 +44,10 @@ class TestRowWiseCount:
     def test_every_first_row_matches_reference(self, n):
         for first in itertools.product(range(n), repeat=n):
             assert census_module._count_first_row(n, first) == count_subtree(n, first), first
+
+    def test_every_orbit_of_order_4_matches_reference(self):
+        for first, _ in census_module._row_tables(4).orbits:
+            assert census_module._count_first_row(4, first) == count_subtree(4, first), first
 
     def test_seeded_first_rows_of_order_4_match_reference(self):
         rng = random.Random(20141)
@@ -142,6 +146,96 @@ class TestPairTables:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak
+
+
+def reference_alone(tables, k, j, p):
+    """Rows h allowed for row j when row k is row p, by every rule (x, y)
+    with x and y among rows k and j, whose product z is row k or row j,
+    and whose rows x, y and z include both: z*c != x*(y*c) at every c."""
+    mask = 0
+    for i, h in enumerate(tables.rows):
+        row = {k: tables.rows[p], j: h}
+        if all(
+            row[z][c] != row[x][row[y][c]]
+            for x in (k, j)
+            for y in (k, j)
+            for z in [row[x][y]]
+            if z in row and {x, y, z} == {k, j}
+            for c in range(tables.n)
+        ):
+            mask |= 1 << i
+    return mask
+
+
+def seeded_prefixes(tables, seed, count):
+    """count picks of rows 0..n-2, each drawn from all rows: most break
+    some rule, and allowed must agree with the reference on those too."""
+    rng = random.Random(seed)
+    size = len(tables.rows)
+    return [[rng.randrange(size) for _ in range(tables.n - 1)] for _ in range(count)]
+
+
+class TestRulesBetweenRows:
+    """alone, allowed and the carried masks of the last row against the
+    rule-by-rule reference."""
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_every_alone_entry_matches_its_definition(self, n):
+        tables = census_module._RowTables(n)
+        for k in range(n):
+            for j in range(k + 1, n):
+                assert len(tables.alone[k][j]) == n**n
+                for p, mask in enumerate(tables.alone[k][j]):
+                    assert mask == reference_alone(tables, k, j, p), (k, j, p)
+
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_allowed_on_every_prefix(self, n):
+        """Every prefix of rows 0..k, so also every one the count visits."""
+        tables = census_module._row_tables(n)
+        for k in range(n - 1):
+            for picked in itertools.product(range(n**n), repeat=k + 1):
+                for j in range(k + 1, n):
+                    assert tables.allowed(list(picked), k, j) == reference_allowed(
+                        tables, picked, k, j
+                    ), (picked, j)
+
+    def test_allowed_on_seeded_order_4_prefixes(self):
+        tables = census_module._row_tables(4)
+        for picked in seeded_prefixes(tables, 20142, 400):
+            for k in range(3):
+                for j in range(k + 1, 4):
+                    assert tables.allowed(picked, k, j) == reference_allowed(
+                        tables, picked, k, j
+                    ), (picked, k, j)
+
+    def test_carried_last_row_masks_on_seeded_order_4_prefixes(self):
+        tables = census_module._row_tables(4)
+        for picked in seeded_prefixes(tables, 20143, 40):
+            carried = tables.alone[2][3]
+            for k in range(2):
+                carried = tables.carry(carried, tables.full, picked, k)
+            for p, mask in carried.items():
+                want = reference_allowed(tables, picked[:2] + [p], 2, 3)
+                assert mask == want, (picked, p)
+
+    def test_counted_leaves_on_seeded_order_4_prefixes(self):
+        """count_below one level above the leaves, with one candidate p for
+        row 2 and a random domain for row 3: the inline count of p."""
+        tables = census_module._row_tables(4)
+        rng = random.Random(20144)
+        for picked in seeded_prefixes(tables, 20145, 60):
+            carried = tables.carry(tables.alone[2][3], tables.full, picked, 0)
+            for p in rng.sample(range(256), 32):
+                domains = [0, 0, 1 << p, rng.getrandbits(256)]
+                want = (
+                    domains[3]
+                    & reference_allowed(tables, picked[:2], 1, 3)
+                    & reference_allowed(tables, picked[:2] + [p], 2, 3)
+                ).bit_count()
+                if not reference_allowed(tables, picked[:2], 1, 2) >> p & 1:
+                    want = 0
+                got = tables.count_below(picked[:2] + [0, 0], domains, carried, 1)
+                assert got == want, (picked, p)
 
 
 class _RecordingPool:

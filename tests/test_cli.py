@@ -255,6 +255,11 @@ class TestCensus:
         result = runner.invoke(main, ["census", "-n", "4"])
         assert result.exit_code == 2
 
+    def test_n4_refusal_names_the_flag(self, runner):
+        result = runner.invoke(main, ["census", "-n", "4"])
+        assert result.exit_code == 2
+        assert "--long" in json.loads(result.stderr)["error"]
+
     def test_text_line(self, runner):
         result = runner.invoke(main, ["census", "-n", "2", "--format", "text"])
         assert result.exit_code == 0
