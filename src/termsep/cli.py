@@ -256,7 +256,12 @@ def cmd_antiassoc(action, k, fmt, budget_evals):
 @main.command("census")
 @click.option("-n", type=int, required=True)
 @click.option("--long", "long_run", is_flag=True, help="allow the n=4 run")
-@click.option("--workers", type=int, default=1)
+@click.option(
+    "--workers",
+    type=int,
+    default=1,
+    help="processes to count in, this one included; more than 1 forks (POSIX only)",
+)
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
 def cmd_census(n, long_run, workers, fmt):
     """Count the 3-antiassociative n-element Cayley tables."""

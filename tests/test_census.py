@@ -1,5 +1,6 @@
 import functools
 import itertools
+import os
 import random
 import tracemalloc
 import types
@@ -238,59 +239,39 @@ class TestRulesBetweenRows:
                 assert got == want, (picked, p)
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, the chunksize
-    of each map, and whether the census tables were built before the pool
-    started; maps inline."""
-
-    started: list[int] = []
-    chunksizes: list[int] = []
-    tables_built: list[bool] = []
-
-    def __init__(self, max_workers):
-        self.started.append(max_workers)
-        self.tables_built.append(census_module._row_tables.cache_info().currsize > 0)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables, chunksize=1):
-        self.chunksizes.append(chunksize)
-        return map(fn, *iterables)
-
-
 class TestWorkers:
     @pytest.fixture
-    def pools(self, monkeypatch):
-        monkeypatch.setattr(_RecordingPool, "started", [])
-        monkeypatch.setattr(_RecordingPool, "chunksizes", [])
-        monkeypatch.setattr(_RecordingPool, "tables_built", [])
-        monkeypatch.setattr(census_module, "ProcessPoolExecutor", _RecordingPool)
-        return _RecordingPool.started
+    def forks(self, monkeypatch):
+        """Whether the census tables were built at each fork; still forks."""
+        forks, fork = [], os.fork
 
-    def test_never_more_processes_than_orbits(self, pools):
+        def recording_fork():
+            forks.append(census_module._row_tables.cache_info().currsize > 0)
+            return fork()
+
+        monkeypatch.setattr(census_module.os, "fork", recording_fork)
+        return forks
+
+    def test_never_more_processes_than_orbits(self, forks):
         assert census_pruned(3, workers=5000) == 52
-        assert pools == [15]
+        assert len(forks) == 14
 
-    def test_report_gives_processes_used(self, pools):
+    def test_report_gives_processes_used(self, forks):
         report = census(3, workers=5000)
         assert report.antiassociative_count == 52
         assert report.workers == 15
         assert census(2, workers=3).workers == 3
-        assert pools == [15, 3]
+        assert len(forks) == 14 + 2  # the caller is one of the processes
 
-    def test_one_worker_starts_no_pool(self, pools):
+    def test_one_worker_starts_no_pool(self, forks):
         assert census(3, workers=1).workers == 1
-        assert pools == []
+        assert forks == []
 
     @pytest.mark.parametrize("workers", (0, -1))
-    def test_fewer_than_one_worker_refused(self, pools, workers):
+    def test_fewer_than_one_worker_refused(self, forks, workers):
         with pytest.raises(ValueError, match="workers"):
             census(2, workers=workers)
-        assert pools == []
+        assert forks == []
 
     def test_progress_counts_orbits(self):
         calls = []
@@ -298,29 +279,70 @@ class TestWorkers:
         assert [c[:2] for c in calls] == [(i, 15) for i in range(1, 16)]
         assert calls[-1][2] == 52
 
-    @pytest.mark.parametrize("workers,chunksize", [(2, 2), (4, 1), (5000, 1)])
-    def test_each_task_takes_a_few_orbits(self, pools, workers, chunksize):
-        assert census_pruned(3, workers=workers) == 52
-        assert _RecordingPool.chunksizes == [chunksize]  # ceil(15 / (4 * workers))
-
-    def test_tables_are_built_before_the_pool_starts(self, pools):
+    def test_tables_are_built_before_the_pool_starts(self, forks):
         census_module._row_tables.cache_clear()
         misses = census_module._row_tables.cache_info().misses
         assert census_pruned(3, workers=2) == 52
-        assert _RecordingPool.tables_built == [True]
-        # built once, in this process: no task built its own
+        assert forks == [True]
+        # built once, in this process: no child built its own
         assert census_module._row_tables.cache_info().misses == misses + 1
 
     def test_progress_from_a_pool_counts_orbits_in_order(self):
-        calls = {1: [], 2: []}
+        calls = {1: [], 2: [], 4: []}
         for workers, seen in calls.items():
             total = census_pruned(
                 3, workers=workers, progress=lambda *call, seen=seen: seen.append(call)
             )
             assert total == 52
         assert [c[:2] for c in calls[2]] == [(i, 15) for i in range(1, 16)]
-        assert calls[2] == calls[1]  # the running totals of the orbits in order
+        # the running totals of the orbits in order
+        assert calls[2] == calls[1]
+        assert calls[4] == calls[1]
         assert calls[2][-1][2] == 52
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestChildren:
+    """Every forked child is reaped, whether the census succeeds or fails."""
+
+    def test_none_left_after_a_census(self):
+        assert census(3, workers=4).antiassociative_count == 52
+        assert_no_child_left()
+
+    def test_failing_child_raises(self, monkeypatch):
+        orbits = census_module._row_tables(3).orbits
+        failing = orbits[6][0]  # orbit 6 of 15 belongs to worker 2 of 4
+        count = census_module._count_first_row
+
+        def count_or_fail(n, first):
+            if first == failing:
+                raise ZeroDivisionError("planted")
+            return count(n, first)
+
+        monkeypatch.setattr(census_module, "_count_first_row", count_or_fail)
+        calls = []
+        stopped = r"census worker 2 \(pid \d+\) stopped with exit status 1"
+        with pytest.raises(RuntimeError, match=stopped):
+            census_pruned(3, workers=4, progress=lambda done, *_: calls.append(done))
+        assert calls == [1, 2, 3, 4, 5, 6]  # raised at orbit 6's missing count
+        assert_no_child_left()
+
+    def test_failing_progress_propagates(self):
+        calls = []
+
+        def progress(done, total, count):
+            calls.append(done)
+            if done == 3:
+                raise KeyError("planted")
+
+        with pytest.raises(KeyError, match="planted"):
+            census_pruned(3, workers=4, progress=progress)
+        assert calls == [1, 2, 3]
+        assert_no_child_left()
 
 
 class TestLiterallyDeranged:

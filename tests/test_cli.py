@@ -3,9 +3,13 @@ import gc
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,6 +274,19 @@ class TestCensus:
         result = runner.invoke(main, ["census", "-n", "3", "--workers", workers])
         assert result.exit_code == 2
         assert "workers" in json.loads(result.stderr)["error"]
+
+    def test_workers_print_one_document(self):
+        # a whole process, stdout a pipe and so block-buffered: a forked
+        # worker that flushed the caller's buffers, or returned into its
+        # stack, would print a second document
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "termsep.cli", "census", "-n", "3", "--workers", "4"],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        doc = json.loads(out.stdout)
+        assert (doc["antiassociative_count"], doc["workers"]) == (52, 4)
 
 
 class TestDemo:
