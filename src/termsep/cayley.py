@@ -93,14 +93,26 @@ class SeparationVerdict:
 
 
 def eval_cayley(G: CayleyGroupoid, t: Term, env: dict[str, int]) -> int:
-    if isinstance(t, Var):
-        if t.name not in env:
-            raise KeyError(f"no value for variable {t.name}")
-        v = env[t.name]
-        if not (0 <= v < G.n):
-            raise ValueError(f"value {v} out of range for order {G.n}")
-        return v
-    return G.op(eval_cayley(G, t.left, env), eval_cayley(G, t.right, env))
+    """t's value in G under env, leaf by leaf, left to right, with no
+    sharing: a plain reference, independent of terms.steps.  The walk keeps
+    its own stack, so a term of any depth evaluates."""
+    values: list[int] = []
+    stack: list = [t]
+    while stack:
+        t = stack.pop()
+        if t is None:  # both factors of the product below are evaluated
+            right = values.pop()
+            values.append(G.op(values.pop(), right))
+        elif isinstance(t, Var):
+            if t.name not in env:
+                raise KeyError(f"no value for variable {t.name}")
+            v = env[t.name]
+            if not (0 <= v < G.n):
+                raise ValueError(f"value {v} out of range for order {G.n}")
+            values.append(v)
+        else:
+            stack += (None, t.right, t.left)
+    return values[0]
 
 
 def deranged_groupoid(n: int, f: Sequence[int], side: str) -> CayleyGroupoid:

@@ -13,8 +13,7 @@ values at some columns avoid a set, and for the rules where row j's own
 values say which row is a*b, "g(b) != v or ..." for each value v.  The
 masks come from per-column bitmasks and from whole tables over every pair
 of rows (compositions and composition masks), built once per n and per
-process.  A census builds them before it forks any worker, so its workers
-inherit them and only count.
+process.
 
 The rules that picking row k decides for row j fall into those among rows
 k and j alone, which depend on row k's pick only and are looked up in the
@@ -31,21 +30,15 @@ mask and the rules between p and row n - 3: no call and no copy per leaf.
 Relabelling by a permutation s that fixes 0 maps the tables whose first
 row is f one to one onto those whose first row is s o f o s^-1, so the
 count runs once per orbit of first rows (52 at n = 4, of 256) and is
-weighted by the orbit's size.  Work splits across processes by orbit, and
-the counts are plain sums, so worker count never changes a result.  The
-calling process counts orbits 0, w, 2w, ... of a census on w workers, and
-w - 1 children, forked by os.fork, count the rest and send each count back
-on a pipe; so more than one worker needs os.fork, which only POSIX has.
+weighted by the orbit's size.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import os
 import sys
 import time
-import traceback
 from dataclasses import dataclass
 
 from termsep.cayley import CayleyGroupoid, is_k_antiassociative
@@ -58,7 +51,6 @@ class CensusReport:
     antiassociative_count: int
     literally_deranged_count: int
     elapsed: float
-    workers: int
 
     def to_json(self) -> dict:
         return {
@@ -67,7 +59,6 @@ class CensusReport:
             "antiassociative_count": self.antiassociative_count,
             "literally_deranged_count": self.literally_deranged_count,
             "elapsed": self.elapsed,
-            "workers": self.workers,
         }
 
 
@@ -335,112 +326,28 @@ def _count_first_row(n: int, first: tuple[int, ...]) -> int:
     return tables.count_below(picked, domains, carried, 0)
 
 
-def _workers_used(n: int, workers: int) -> int:
-    """Processes a census of order n counts in, the caller included: at
-    most one per first-row orbit."""
-    return max(1, min(workers, len(_row_tables(n).orbits)))
-
-
 def census_pruned(n: int, workers: int = 1, progress=None) -> int:
-    """Row-wise count with bitmask domains, one first row per orbit.
+    """Row-wise count with bitmask domains, one first row per orbit, in
+    orbit order; progress sees the running total after each orbit.
 
-    Orbit i is counted by process i % workers: process 0 is the caller,
-    and the others are children it forks once the tables are built.  The
-    caller reads the children's counts in orbit order, so progress sees
-    one running total per orbit, in order."""
+    workers is accepted, so that callers which still pass it keep
+    working, and ignored: the census runs in the calling process, since
+    at n <= 4 the whole count takes a few tens of milliseconds, too little
+    for a second process to pay for its start."""
+    if n not in (2, 3, 4):
+        raise ValueError("census supports n in {2, 3, 4}")
     orbits = _row_tables(n).orbits
-    workers = _workers_used(n, workers)
-    firsts = [first for first, _ in orbits]
-    children = []
-    try:
-        for number in range(1, workers):
-            children.append(_Child(number, n, firsts[number::workers]))
-        partials = (
-            children[i % workers - 1].receive() if i % workers else _count_first_row(n, first)
-            for i, first in enumerate(firsts)
-        )
-        total = _weighted_sum(partials, orbits, progress)
-        for child in children:
-            if child.wait():
-                raise child.failure()
-        return total
-    finally:
-        # if the census failed, a child still counting gets EPIPE and leaves
-        for child in children:
-            child.wait()
-
-
-class _Child:
-    """A forked census worker and the read end of its pipe, on which it
-    writes the count of each of its first rows, in order, as 8 bytes.
-
-    The write end is closed in the caller before the next fork, so the
-    pipe reaches EOF once the child is gone."""
-
-    def __init__(self, number: int, n: int, firsts):
-        read, write = os.pipe()
-        try:
-            self.pid = os.fork()
-        except BaseException:
-            os.close(read)
-            os.close(write)
-            raise
-        if self.pid == 0:
-            os.close(read)
-            _count_in_child(n, firsts, write)
-        os.close(write)
-        self.number, self.pipe, self.status = number, open(read, "rb"), None
-
-    def receive(self) -> int:
-        data = self.pipe.read(8)
-        if len(data) < 8:
-            raise self.failure()
-        return int.from_bytes(data, "little")
-
-    def wait(self) -> int:
-        """Close the pipe, reap the child once, and return its exit status."""
-        self.pipe.close()
-        if self.status is None:
-            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        return self.status
-
-    def failure(self) -> RuntimeError:
-        return RuntimeError(
-            f"census worker {self.number} (pid {self.pid}) stopped with exit status {self.wait()}"
-        )
-
-
-def _count_in_child(n: int, firsts, pipe: int):
-    """A child's whole life: write each count to the pipe, then leave by
-    os._exit, with status 0 once every count is written and 1 otherwise.
-    It never returns into the caller's stack, so it flushes none of the
-    caller's buffers and runs none of its atexit handlers."""
-    status = 1
-    try:
-        for first in firsts:
-            os.write(pipe, _count_first_row(n, first).to_bytes(8, "little"))
-        status = 0
-    except BrokenPipeError:  # the caller has stopped reading
-        pass
-    except Exception:
-        # straight to fd 2: sys.stderr's buffer is a copy of the caller's
-        os.write(2, traceback.format_exc().encode())
-    finally:
-        os._exit(status)
-
-
-def _weighted_sum(partials, orbits, progress) -> int:
     total = 0
-    for i, (part, (_, size)) in enumerate(zip(partials, orbits)):
-        total += part * size
+    for i, (first, size) in enumerate(orbits):
+        total += _count_first_row(n, first) * size
         if progress:
             progress(i + 1, len(orbits), total)
     return total
 
 
 def census(n: int, workers: int = 1, long_run: bool = False, progress=None) -> CensusReport:
-    if n not in (2, 3, 4):
-        raise ValueError("census supports n in {2, 3, 4}")
+    """The census of order n.  workers must be at least 1 and has no other
+    effect: see census_pruned."""
     if n == 4 and not long_run:
         raise ValueError("n=4 counts among 4^16 tables; pass long_run=True to confirm")
     if workers < 1:
@@ -454,7 +361,6 @@ def census(n: int, workers: int = 1, long_run: bool = False, progress=None) -> C
         antiassociative_count=count,
         literally_deranged_count=_literally_deranged_count(n),
         elapsed=elapsed,
-        workers=_workers_used(n, workers),
     )
 
 

@@ -256,23 +256,14 @@ def cmd_antiassoc(action, k, fmt, budget_evals):
 @main.command("census")
 @click.option("-n", type=int, required=True)
 @click.option("--long", "long_run", is_flag=True, help="allow the n=4 run")
-@click.option(
-    "--workers",
-    type=int,
-    default=1,
-    help="processes to count in, this one included; more than 1 forks (POSIX only)",
-)
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-def cmd_census(n, long_run, workers, fmt):
+def cmd_census(n, long_run, fmt):
     """Count the 3-antiassociative n-element Cayley tables."""
     if n == 4 and not long_run:
         _fail("n=4 counts among 4^16 tables; pass --long to confirm", 2)
     try:
         report = run_census(
-            n,
-            workers=workers,
-            long_run=long_run,
-            progress=stderr_progress if sys.stderr.isatty() else None,
+            n, long_run=long_run, progress=stderr_progress if sys.stderr.isatty() else None
         )
     except ValueError as exc:
         _fail(str(exc), 2)

@@ -23,7 +23,7 @@ from termsep.cayley import (
     separations,
 )
 from termsep.synth import antiassociative_certificates
-from termsep.terms import Var, enumerate_ordered_terms, parse_term, var_key, variables
+from termsep.terms import Mul, Var, enumerate_ordered_terms, parse_term, var_key, variables
 from termsep.vecops import VecGroupoid, affine_groupoid, to_cayley
 
 Z2_LEFT = deranged_groupoid(2, [1, 0], "LEFT")       # x*y = (x+1) mod 2
@@ -53,6 +53,14 @@ class TestEval:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             eval_cayley(Z2_LEFT, parse_term("x"), {"x": 5})
+
+    def test_deep_right_comb(self):
+        # x1*(x2*(...*(x4999*x5000))), depth 4,999; it raised RecursionError
+        t = Var("x5000")
+        for i in range(4999, 0, -1):
+            t = Mul(Var(f"x{i}"), t)
+        env = {f"x{i}": i % 3 for i in range(1, 5001)}
+        assert eval_cayley(Z3_RIGHT, t, env) == (env["x5000"] + 4999) % 3
 
 
 class TestDeranged:

@@ -240,52 +240,19 @@ class TestRulesBetweenRows:
 
 
 class TestWorkers:
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """Whether the census tables were built at each fork; still forks."""
-        forks, fork = [], os.fork
-
-        def recording_fork():
-            forks.append(census_module._row_tables.cache_info().currsize > 0)
-            return fork()
-
-        monkeypatch.setattr(census_module.os, "fork", recording_fork)
-        return forks
-
-    def test_never_more_processes_than_orbits(self, forks):
-        assert census_pruned(3, workers=5000) == 52
-        assert len(forks) == 14
-
-    def test_report_gives_processes_used(self, forks):
-        report = census(3, workers=5000)
-        assert report.antiassociative_count == 52
-        assert report.workers == 15
-        assert census(2, workers=3).workers == 3
-        assert len(forks) == 14 + 2  # the caller is one of the processes
-
-    def test_one_worker_starts_no_pool(self, forks):
-        assert census(3, workers=1).workers == 1
-        assert forks == []
+    """workers is accepted and changes nothing: every census counts in
+    the calling process."""
 
     @pytest.mark.parametrize("workers", (0, -1))
-    def test_fewer_than_one_worker_refused(self, forks, workers):
+    def test_fewer_than_one_worker_refused(self, workers):
         with pytest.raises(ValueError, match="workers"):
             census(2, workers=workers)
-        assert forks == []
 
     def test_progress_counts_orbits(self):
         calls = []
         census(3, progress=lambda done, total, count: calls.append((done, total, count)))
         assert [c[:2] for c in calls] == [(i, 15) for i in range(1, 16)]
         assert calls[-1][2] == 52
-
-    def test_tables_are_built_before_the_pool_starts(self, forks):
-        census_module._row_tables.cache_clear()
-        misses = census_module._row_tables.cache_info().misses
-        assert census_pruned(3, workers=2) == 52
-        assert forks == [True]
-        # built once, in this process: no child built its own
-        assert census_module._row_tables.cache_info().misses == misses + 1
 
     def test_progress_from_a_pool_counts_orbits_in_order(self):
         calls = {1: [], 2: [], 4: []}
@@ -300,49 +267,12 @@ class TestWorkers:
         assert calls[4] == calls[1]
         assert calls[2][-1][2] == 52
 
+    def test_counts_without_forking(self, monkeypatch):
+        def no_fork():
+            raise OSError("planted: no fork")
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-class TestChildren:
-    """Every forked child is reaped, whether the census succeeds or fails."""
-
-    def test_none_left_after_a_census(self):
-        assert census(3, workers=4).antiassociative_count == 52
-        assert_no_child_left()
-
-    def test_failing_child_raises(self, monkeypatch):
-        orbits = census_module._row_tables(3).orbits
-        failing = orbits[6][0]  # orbit 6 of 15 belongs to worker 2 of 4
-        count = census_module._count_first_row
-
-        def count_or_fail(n, first):
-            if first == failing:
-                raise ZeroDivisionError("planted")
-            return count(n, first)
-
-        monkeypatch.setattr(census_module, "_count_first_row", count_or_fail)
-        calls = []
-        stopped = r"census worker 2 \(pid \d+\) stopped with exit status 1"
-        with pytest.raises(RuntimeError, match=stopped):
-            census_pruned(3, workers=4, progress=lambda done, *_: calls.append(done))
-        assert calls == [1, 2, 3, 4, 5, 6]  # raised at orbit 6's missing count
-        assert_no_child_left()
-
-    def test_failing_progress_propagates(self):
-        calls = []
-
-        def progress(done, total, count):
-            calls.append(done)
-            if done == 3:
-                raise KeyError("planted")
-
-        with pytest.raises(KeyError, match="planted"):
-            census_pruned(3, workers=4, progress=progress)
-        assert calls == [1, 2, 3]
-        assert_no_child_left()
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert census(4, workers=2, long_run=True).antiassociative_count == 421560
 
 
 class TestLiterallyDeranged:
@@ -382,13 +312,19 @@ class TestGuards:
         with pytest.raises(ValueError):
             census(n)
 
+    @pytest.mark.parametrize("n", (0, 1, 5))
+    def test_pruned_out_of_range_builds_no_tables(self, n):
+        built = census_module._row_tables.cache_info().currsize
+        with pytest.raises(ValueError, match="census supports"):
+            census_pruned(n)
+        assert census_module._row_tables.cache_info().currsize == built
+
 
 class TestOrderFour:
     @pytest.mark.parametrize("workers", (1, 2))
     def test_n4_count(self, workers):
         report = census(4, workers=workers, long_run=True)
         assert report.antiassociative_count == 421560
-        assert report.workers == workers
 
 
 @pytest.mark.long
