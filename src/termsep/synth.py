@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -48,21 +48,33 @@ def _flip(side: str) -> str:
     return "t" if side == "s" else "s"
 
 
-@dataclass(frozen=True)
-class CoverWitness:
-    """One variable with cross-term occurrence paths q and p = q.w, w != ''."""
+class CoverWitness(namedtuple("CoverWitness", "variable shallow_side q deep_side p")):
+    """One variable with cross-term occurrence paths q and p = q.w, w != ''.
 
-    variable: str
-    shallow_side: str  # 's' or 't': the term holding the short path q
-    q: str
-    deep_side: str
-    p: str
+    shallow_side, 's' or 't', is the term holding the short path q, and
+    deep_side the other.  A tuple, so it is built in one step rather than
+    by a setattr per field, but equal only to an equal witness."""
 
-    def __post_init__(self):
-        if self.shallow_side == self.deep_side:
+    __slots__ = ()
+
+    def __new__(cls, variable: str, shallow_side: str, q: str, deep_side: str, p: str):
+        if shallow_side == deep_side:
             raise ValueError("cover occurrences must lie in different terms")
-        if not is_proper_prefix(self.q, self.p):
+        if not is_proper_prefix(q, p):
             raise ValueError("q must be a proper initial substring of p")
+        return tuple.__new__(cls, (variable, shallow_side, q, deep_side, p))
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through here: check it too
+        return cls(*fields)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     @property
     def w(self) -> str:

@@ -34,7 +34,14 @@ class InvalidPathError(ValueError):
 class Term:
     """Base class; instances are Var or Mul.  Terms are immutable and
     hash-consed: equal terms are one object, so == and hash are identity.
-    The tables are not locked: build terms in one thread at a time."""
+
+    Each class keeps its table, _live, as a plain dict from a node's key
+    (a name, or the pair of factors) to a weakref.ref of the one live node
+    with that key.  A node's __del__ deletes its own entry, unless the
+    entry already refers to another live node: the cycle collector clears
+    weak references before it runs finalisers, so a node it frees may find
+    its entry dead, or taken by a new node with the same key.  The tables
+    are not locked: build terms in one thread at a time."""
 
     __slots__ = ("__weakref__",)
 
@@ -51,17 +58,35 @@ class Term:
         return self.__class__, tuple(getattr(self, field) for field in self.__slots__)
 
 
+_vars: dict = {}  # name -> weakref.ref of the one live Var
+_muls: dict = {}  # (left, right) -> weakref.ref of the one live Mul
+_ref = weakref.ref
+_new = object.__new__
+
+
 class Var(Term):
     __slots__ = ("name",)
-    _live = weakref.WeakValueDictionary()  # name -> the one live Var
+    _live = _vars
 
     def __new__(cls, name: str):
-        t = cls._live.get(name)
-        if t is None:
-            t = object.__new__(cls)
-            object.__setattr__(t, "name", name)
-            cls._live[name] = t
+        r = _vars.get(name)
+        if r is not None:
+            t = r()
+            if t is not None:
+                return t
+        t = _new(cls)
+        _set_name(t, name)
+        _vars[name] = _ref(t)
         return t
+
+    # the table is a default argument: module globals may already be None
+    # when a node dies at interpreter exit
+    def __del__(self, _live=_vars):
+        r = _live.get(self.name)
+        if r is not None:
+            t = r()
+            if t is None or t is self:
+                del _live[self.name]
 
     def __repr__(self):
         return f"Var({self.name!r})"
@@ -69,20 +94,36 @@ class Var(Term):
 
 class Mul(Term):
     __slots__ = ("left", "right")
-    _live = weakref.WeakValueDictionary()  # (left, right) -> the one live Mul
+    _live = _muls
 
     def __new__(cls, left: Term, right: Term):
         key = (left, right)
-        t = cls._live.get(key)
-        if t is None:
-            t = object.__new__(cls)
-            object.__setattr__(t, "left", left)
-            object.__setattr__(t, "right", right)
-            cls._live[key] = t
+        r = _muls.get(key)
+        if r is not None:
+            t = r()
+            if t is not None:
+                return t
+        t = _new(cls)
+        _set_left(t, left)
+        _set_right(t, right)
+        _muls[key] = _ref(t)
         return t
+
+    def __del__(self, _live=_muls):  # a default argument, as in Var
+        key = (self.left, self.right)
+        r = _live.get(key)
+        if r is not None:
+            t = r()
+            if t is None or t is self:
+                del _live[key]
 
     def __repr__(self):
         return f"parse_term({render_term(self)!r})"
+
+
+# the slots' own setters, which Term.__setattr__ does not intercept
+_set_name = Var.name.__set__
+_set_left, _set_right = Mul.left.__set__, Mul.right.__set__
 
 
 def variables(t: Term) -> list[str]:
@@ -91,16 +132,29 @@ def variables(t: Term) -> list[str]:
     This key orders x1..x9, x10, x11.. the intuitive way and is the
     canonical variable order used for counterexample enumeration.
     """
-    # a plain walk: occurrences() would build a path string per leaf
+    # a walk over the distinct products, each expanded once, so a term
+    # with shared subterms costs its distinct nodes, not its leaves; the
+    # factors are looked at where they are, so leaves never reach the stack
+    if t.__class__ is Var:
+        return [t.name]
+    names = set()
     seen = set()
     stack = [t]
     while stack:
         node = stack.pop()
-        if isinstance(node, Var):
-            seen.add(node.name)
-        else:
-            stack += (node.left, node.right)
-    return sorted(seen, key=var_key)
+        factor = node.left
+        if factor.__class__ is Var:
+            names.add(factor.name)
+        elif factor not in seen:
+            seen.add(factor)
+            stack.append(factor)
+        factor = node.right
+        if factor.__class__ is Var:
+            names.add(factor.name)
+        elif factor not in seen:
+            seen.add(factor)
+            stack.append(factor)
+    return sorted(names, key=var_key)
 
 
 def var_key(name: str):

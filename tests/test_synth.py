@@ -48,6 +48,24 @@ class TestCoverWitness:
         with pytest.raises(ValueError):
             CoverWitness("x", "s", "r", "t", "ll")
 
+    def test_replace_checks_too(self):
+        w = CoverWitness("x", "s", "l", "t", "llr")
+        assert w._replace(q="ll") == CoverWitness("x", "s", "ll", "t", "llr")
+        with pytest.raises(ValueError, match="proper initial substring"):
+            w._replace(q="r")
+        with pytest.raises(ValueError, match="different terms"):
+            w._replace(deep_side="s")
+
+    def test_immutable_and_equal_field_wise(self):
+        fields = ("x", "s", "l", "t", "llr")
+        w = CoverWitness(*fields)
+        with pytest.raises(AttributeError):
+            w.q = "r"
+        assert w == CoverWitness(*fields) and hash(w) == hash(CoverWitness(*fields))
+        assert w != CoverWitness("y", "s", "l", "t", "llr")
+        assert w != fields and fields != w and not w == fields
+        assert len({w, CoverWitness(*fields)}) == 1
+
 
 class TestFindCoverPair:
     def test_nested_occurrence(self):

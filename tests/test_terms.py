@@ -1,14 +1,20 @@
 import gc
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 import time
+import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import cover_reference as ref
 import dense_reference as dense
+import termsep
 from termsep.synth import find_cover_pair
 from termsep.unify import unify
 from test_unify import chain_pair
@@ -29,6 +35,8 @@ from termsep.terms import (
     shape_of,
     steps,
     subterm_at,
+    var_key,
+    variables,
 )
 
 SENTINEL = "χ"
@@ -220,6 +228,104 @@ class TestInterning:
             del Var("x").name
         assert t.left is Var("x") and pickle.loads(pickle.dumps(t)) is t
 
+    def test_variables_freed_when_dropped(self):
+        start = len(Var._live)
+        t = parse_term("(fresh1*fresh2)*fresh1")
+        assert len(Var._live) == start + 2
+        del t
+        assert len(Var._live) == start and "fresh1" not in Var._live
+
+    def test_term_held_by_garbage_cycle_freed_by_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            vars_start, muls_start = len(Var._live), len(Mul._live)
+            cycle: list = [parse_term("cyc1*(cyc2*cyc1)")]
+            cycle.append(cycle)
+            del cycle
+            assert (len(Var._live), len(Mul._live)) == (vars_start + 2, muls_start + 2)
+            # the collector clears the root's weak reference before its
+            # __del__ runs, so the root finds its entry dead
+            gc.collect()
+            assert (len(Var._live), len(Mul._live)) == (vars_start, muls_start)
+            assert "cyc1" not in Var._live and "cyc2" not in Var._live
+        finally:
+            gc.enable()
+        t = parse_term("cyc1*(cyc2*cyc1)")
+        assert Mul._live[(t.left, t.right)]() is t and Var._live["cyc2"]() is t.right.left
+        assert parse_term("cyc1*(cyc2*cyc1)") is t
+
+    def test_entry_taken_during_collection_is_kept(self):
+        # the collector clears every weak reference to its garbage before it
+        # runs any callback or finaliser, so a callback can build a new node
+        # with a dying node's key before the dying node's __del__ runs
+        reborn = []
+        gc.collect()
+        gc.disable()
+        try:
+            cycle: list = [parse_term("re1*re2")]
+            cycle.append(cycle)
+            watch = weakref.ref(cycle[0], lambda _: reborn.append(parse_term("re1*re2")))
+            del cycle
+            gc.collect()
+        finally:
+            gc.enable()
+        (t,) = reborn
+        assert watch() is None
+        assert Mul._live[(t.left, t.right)]() is t and parse_term("re1*re2") is t
+
+    def test_seeded_build_and_drop_leaves_only_live_entries(self):
+        rng = random.Random(5)
+        held = []
+        for step in range(3000):
+            t = dense.random_dag(rng, rng.randint(1, 10), "".join(rng.sample("pqrstuvw", 3)))
+            if rng.random() < 0.3:
+                held.append(t)
+            if held and rng.random() < 0.25:
+                held.pop(rng.randrange(len(held)))
+            if rng.random() < 0.1:  # garbage for the collector
+                cycle: list = [t]
+                cycle.append(cycle)
+            if step % 700 == 0:
+                gc.collect()
+        del t, cycle
+        gc.disable()
+        try:
+            for table, key_of in (
+                (Var._live, lambda v: v.name),
+                (Mul._live, lambda m: (m.left, m.right)),
+            ):
+                for key, r in table.items():
+                    node = r()
+                    assert node is not None and key_of(node) == key
+        finally:
+            gc.enable()
+        assert all(t is Mul(t.left, t.right) for t in held if isinstance(t, Mul))
+
+    def test_exit_while_holding_terms_writes_nothing_to_stderr(self):
+        # "early" is registered before termsep.terms, so at exit its globals
+        # are cleared after those of termsep.terms, as a test runner's
+        # modules are: its terms die when the module globals of
+        # termsep.terms are already None
+        code = (
+            "import sys, types\n"
+            "early = sys.early = sys.modules['early'] = types.ModuleType('early')\n"
+            "import termsep.terms as terms\n"
+            "early.terms = terms\n"
+            "t = terms.Var('y')\n"
+            "for _ in range(2000):\n"
+            "    t = terms.Mul(terms.Var('x'), t)\n"
+            "early.t = t\n"
+            "cycle = [terms.parse_term('x*(y*z)')]\n"
+            "cycle.append(cycle)\n"
+        )
+        src = str(Path(termsep.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+
 
 class TestOccurrences:
     def test_leaf(self):
@@ -241,6 +347,30 @@ class TestOccurrences:
     def test_every_path_addresses_its_leaf(self, t):
         for path, name in occurrences(t):
             assert subterm_at(t, path) == Var(name)
+
+
+class TestVariables:
+    @staticmethod
+    def by_leaves(t: Term) -> list[str]:
+        return sorted({name for _, name in occurrences(t)}, key=var_key)
+
+    def test_sweep_terms_and_random_dags(self):
+        for t in ref.sweep_terms():
+            assert variables(t) == self.by_leaves(t)
+        rng = random.Random(13)
+        for _ in range(300):
+            t = dense.random_dag(rng, rng.randint(1, 12), "".join(rng.sample("xyzuvw", 4)))
+            assert variables(t) == self.by_leaves(t)
+        assert variables(parse_term("(x10*x2)*(x1*(y*x2))")) == ["y", "x1", "x2", "x10"]
+
+    def test_shared_subterms_walked_once(self):
+        t = Var("x")
+        for _ in range(40):  # 2**40 leaves, 41 distinct nodes
+            t = Mul(t, t)
+        start = time.perf_counter()
+        assert variables(t) == ["x"]
+        assert variables(Mul(t, Mul(Var("y"), t))) == ["x", "y"]
+        assert time.perf_counter() - start < 0.1
 
 
 class TestTreeWalks:
